@@ -74,12 +74,10 @@ func run() error {
 		fixed       = flag.Bool("fixed-stages", false, "synthesize at exactly max-stages (skip depth minimization)")
 		explain     = flag.Bool("explain", false, "on an infeasible verdict, run UNSAT-core forensics and report the binding resource and blamed statements")
 		seed        = flag.Int64("seed", 1, "random seed for CEGIS test inputs")
-		cegisMode   = flag.String("cegis-mode", "cex", "CEGIS refinement strategy: cex (counterexample-guided) or holes (hole elimination)")
 		symmetry    = flag.Bool("symmetry", false, "add symmetry-breaking clauses to the synthesis encoding (pisa only)")
 		parallel    = flag.Int("parallel", 1, "portfolio parallelism: race stage depths and seeds on this many workers (1 = sequential)")
 		seedFanout  = flag.Int("seed-fanout", 1, "diversified CEGIS seeds raced per stage depth in portfolio mode")
 		raceAllocs  = flag.Bool("race-allocs", false, "also race the opposite field-allocation mode in portfolio mode")
-		raceModes   = flag.Bool("race-modes", false, "also race the other CEGIS strategy per depth in portfolio mode")
 		asJSON      = flag.Bool("json", false, "emit the configuration as JSON")
 		emitLang    = flag.String("emit", "", "translate the configuration to low-level code: \"go\" or \"p4\" (pisa), \"bpfc\" (bpf)")
 		verbose     = flag.Bool("v", false, "trace CEGIS phases")
@@ -132,8 +130,6 @@ func run() error {
 			Parallel:      *parallel,
 			SeedFanout:    *seedFanout,
 			Explain:       *explain,
-			CEGISMode:     *cegisMode,
-			RaceModes:     *raceModes,
 			SymmetryBreak: *symmetry,
 		}, *timeout, *asJSON, *watch)
 	}
@@ -155,12 +151,10 @@ func run() error {
 		FixedStages:    *fixed,
 		Explain:        *explain,
 		Seed:           *seed,
-		CEGISMode:      *cegisMode,
 		SymmetryBreak:  *symmetry,
 		Parallelism:    *parallel,
 		SeedFanout:     *seedFanout,
 		RaceAllocs:     *raceAllocs,
-		RaceModes:      *raceModes,
 	}
 	var cache *solcache.Cache
 	if *cachePath != "" {
@@ -435,8 +429,6 @@ func depthSummary(rep *core.Report) string {
 			verdict = "pruned by depth floor"
 		case d.Canceled:
 			verdict = "canceled"
-		case d.Exhausted:
-			verdict = "candidate budget exhausted"
 		case d.TimedOut:
 			verdict = "timeout"
 		}

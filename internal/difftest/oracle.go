@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/ast"
+	"repro/internal/cegis"
 	"repro/internal/interp"
 	"repro/internal/linerate"
 	"repro/internal/pisa"
@@ -35,7 +36,6 @@ const (
 	KindEngineMismatch  = "engine-mismatch"     // compiled line-rate engine vs interpreted datapath disagree
 	KindCoreNotMinimal  = "core-not-minimal"    // blamed UNSAT core fails its minimality contract on re-solve
 	KindExplainDiverged = "explain-diverged"    // gated forensics rerun found a config where ungated proved UNSAT
-	KindModeDiverged    = "mode-diverged"       // counterexample vs hole-elimination CEGIS verdicts disagree
 )
 
 // exhaustiveCheckWidth is the small width used for exhaustive
@@ -164,7 +164,7 @@ func sweepExhaustive(prog *ast.Program, cfg *pisa.Config) *Discrepancy {
 // verification width, returning a mutant-inequivalence discrepancy on the
 // first disagreement.
 func randomEquivalent(a, b *ast.Program, seed int64) *Discrepancy {
-	const w = word.Width(10) // cegis.DefaultVerifyWidth without the import
+	const w = cegis.DefaultVerifyWidth
 	va, vb := a.Variables(), b.Variables()
 	fields := append(append([]string{}, va.Fields...), vb.Fields...)
 	states := append(append([]string{}, va.States...), vb.States...)

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// These tests pin the retention contract hole-elimination CEGIS leans
-// on: one Solver accumulating clauses across many Solve(assumptions...)
+// These tests pin the retention contract the persistent CEGIS synthesis
+// solver and the forensics pass lean on: one Solver accumulating clauses across many Solve(assumptions...)
 // rounds must give, at every round, the same verdict as a fresh solver
 // built from scratch over the cumulative clause set — no matter what
 // learnt clauses, phase saving, or activity state the retained solver
@@ -84,8 +84,8 @@ func TestIncrementalRetentionMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestIncrementalBlockingClauseEnumeration is the hole-elimination access
-// pattern in miniature: repeatedly ask for a model, then add the clause
+// TestIncrementalBlockingClauseEnumeration is model enumeration in
+// miniature: repeatedly ask for a model, then add the clause
 // negating it. The solver must enumerate each of the 2^n models of the
 // unconstrained formula exactly once and then prove UNSAT.
 func TestIncrementalBlockingClauseEnumeration(t *testing.T) {

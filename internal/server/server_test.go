@@ -169,6 +169,41 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnknownRequestFields: a field the request schema does not define is
+// rejected with 400 rather than silently dropped — a retired option or a
+// misspelled one would otherwise compile something other than what the
+// client asked for. The same body without the stray field is accepted.
+func TestUnknownRequestFields(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2, JobTimeout: 2 * time.Minute})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	src, _ := json.Marshal(samplingSrc)
+	post := func(extra string) *http.Response {
+		t.Helper()
+		body := `{"name":"sampling","width":2,"alu":"if_else_raw","wait":true,` + extra + `"source":` + string(src) + `}`
+		resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	for name, extra := range map[string]string{
+		"retired option": `"cegis_mode":"holes",`,
+		"misspelling":    `"max_stage":3,`,
+	} {
+		if resp := post(extra); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if resp := post(`"max_stages":3,`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("known fields: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // stubCompiles replaces the server's compile function with one that blocks
 // until released, so tests control queue occupancy deterministically.
 func stubCompiles(s *Server) (started chan string, release chan struct{}) {

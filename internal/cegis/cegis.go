@@ -389,6 +389,7 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 		}
 	}
 
+	ws := newVerifier()
 	trace := func(ev Event) {
 		if opts.Trace != nil {
 			ev.Member = opts.Member
@@ -445,7 +446,7 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 		// --- Verification phase (Equation 3) ---
 		phaseStart = time.Now()
 		verifyCtx, verifySpan := obs.StartSpan(iterCtx, "verify")
-		vo := verify(verifyCtx, prog, cfg, fields, states, vw, opts.Progress)
+		vo := ws.verify(verifyCtx, prog, cfg, fields, states, vw, opts.Progress)
 		publishSolve(reg, vo.stats)
 		reg.Gauge("circuit.gates").SetMax(int64(vo.gates))
 		res.VerifyConflicts += vo.stats.Conflicts
@@ -502,18 +503,37 @@ type verifyOutcome struct {
 	cex      interp.Snapshot
 	verified bool
 	timedOut bool
-	// stats is the verification solver's effort (a fresh solver per
+	// stats is the verification solver's effort (the solver is reset per
 	// query, so cumulative == delta); gates and clauses size the encoding.
 	stats   sat.Stats
 	gates   int
 	clauses int
 }
 
+// verifier is the verification workspace of one CEGIS run: a circuit
+// builder, a SAT solver and their encoder, reset before every query. Each
+// query is independent — the state a Reset restores is exactly a fresh
+// New — so reuse changes no search decision; it only stops every
+// iteration from re-growing the gate, clause and watch arrays from zero.
+type verifier struct {
+	b   *circuit.Builder
+	s   *sat.Solver
+	cnf *circuit.CNF
+}
+
+func newVerifier() *verifier {
+	b, s := circuit.New(), sat.New()
+	return &verifier{b: b, s: s, cnf: circuit.NewCNF(b, s)}
+}
+
 // verify searches for an input on which the configured machine and the
 // specification disagree at width w. It returns the counterexample if one
 // exists.
-func verify(ctx context.Context, prog *ast.Program, cfg backend.Config, fields, states []string, w word.Width, progress func(string, sat.Stats)) verifyOutcome {
-	b := circuit.New()
+func (v *verifier) verify(ctx context.Context, prog *ast.Program, cfg backend.Config, fields, states []string, w word.Width, progress func(string, sat.Stats)) verifyOutcome {
+	v.b.Reset()
+	v.s.Reset()
+	v.cnf.Reset()
+	b, solver, cnf := v.b, v.s, v.cnf
 	cc := arith.Circ{B: b, W: w}
 
 	fw := make([]circuit.Word, len(fields))
@@ -551,11 +571,9 @@ func verify(ctx context.Context, prog *ast.Program, cfg backend.Config, fields, 
 		equal = b.And(equal, b.EqW(pipeS[i], specW))
 	}
 
-	solver := sat.New()
 	if fn := contextStop(ctx); fn != nil {
 		solver.SetStop(fn)
 	}
-	cnf := circuit.NewCNF(b, solver)
 	cnf.AssertNot(equal)
 	st, delta, timedOut := solveTraced(ctx, solver, "verify", progress)
 	out := verifyOutcome{stats: delta, gates: b.NumGates(), clauses: cnf.NumClauses()}

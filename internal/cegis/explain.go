@@ -215,6 +215,7 @@ func explainOn(ctx context.Context, prog *ast.Program, be backend.Backend, size 
 		}
 	}
 
+	ws := newVerifier()
 	step := func(iter int, phase, outcome string, conflicts int64, since time.Time) {
 		res.Timeline = append(res.Timeline, ExplainStep{
 			Iter: iter, Phase: phase, Outcome: outcome,
@@ -244,7 +245,7 @@ func explainOn(ctx context.Context, prog *ast.Program, be backend.Backend, size 
 
 		cfg := sk.Extract(cnf, fields, states, vw)
 		phaseStart = time.Now()
-		vo := verify(ctx, prog, cfg, fields, states, vw, opts.Progress)
+		vo := ws.verify(ctx, prog, cfg, fields, states, vw, opts.Progress)
 		switch {
 		case vo.timedOut:
 			step(iter, "verify", "timeout", vo.stats.Conflicts, phaseStart)

@@ -46,10 +46,11 @@ const (
 	opMux // a ? b : c
 )
 
+// gate is one DAG node: 16 bytes and pointer-free, so the gate array is
+// never scanned by the garbage collector.
 type gate struct {
 	op      gateOp
 	a, b, c Bit
-	name    string // inputs only, for diagnostics
 }
 
 // Word is a little-endian vector of bits representing a two's-complement
@@ -58,14 +59,34 @@ type Word []Bit
 
 // Builder accumulates a circuit. The zero value is not usable; call New.
 type Builder struct {
-	gates  []gate
-	hash   map[[4]int32]Bit
-	inputs []Bit
+	gates []gate
+	// table is the structural hash: an open-addressed, linearly probed
+	// set of interned gate ids keyed by (op, a, b, c), where False (0)
+	// marks an empty slot — constants are never interned. Its length is a
+	// power of two kept at least twice the number of entries.
+	table   []Bit
+	entries int
+	inputs  []Bit
 }
+
+// grow returns xs with room for n more elements, doubling the capacity
+// when it runs out (append grows large slices by only about 1.25x, which
+// copies an ever-growing gate array several times over).
+func grow[T any](xs []T, n int) []T {
+	if len(xs)+n <= cap(xs) {
+		return xs
+	}
+	nx := make([]T, len(xs), max(2*cap(xs), len(xs)+n, 64))
+	copy(nx, xs)
+	return nx
+}
+
+// minTable is the structural hash's initial slot count.
+const minTable = 256
 
 // New returns an empty circuit builder.
 func New() *Builder {
-	b := &Builder{hash: make(map[[4]int32]Bit)}
+	b := &Builder{table: make([]Bit, minTable)}
 	b.gates = append(b.gates,
 		gate{op: opConst}, // False
 		gate{op: opConst}, // True
@@ -73,23 +94,36 @@ func New() *Builder {
 	return b
 }
 
+// Reset returns the builder to exactly the state New produces — only the
+// two constants, no inputs, an empty structural hash — while keeping the
+// capacity of its arrays. Gates built after a Reset are numbered exactly
+// as in a fresh builder.
+func (b *Builder) Reset() {
+	b.gates = b.gates[:2]
+	b.inputs = b.inputs[:0]
+	clear(b.table)
+	b.entries = 0
+}
+
 // NumGates returns the number of nodes in the DAG (including constants and
 // inputs), a proxy for sketch size used in evaluation reports.
 func (b *Builder) NumGates() int { return len(b.gates) }
 
-// Input allocates a fresh single-bit input.
+// Input allocates a fresh single-bit input. The name documents the call
+// site only; the builder does not store it.
 func (b *Builder) Input(name string) Bit {
 	bit := Bit(len(b.gates))
-	b.gates = append(b.gates, gate{op: opInput, name: name})
+	b.gates = append(b.gates, gate{op: opInput})
 	b.inputs = append(b.inputs, bit)
 	return bit
 }
 
-// InputWord allocates a w-bit input word named name (bit i is name[i]).
+// InputWord allocates a w-bit input word (name documents the call site,
+// as for Input).
 func (b *Builder) InputWord(name string, w word.Width) Word {
 	bits := make(Word, w)
 	for i := range bits {
-		bits[i] = b.Input(fmt.Sprintf("%s[%d]", name, i))
+		bits[i] = b.Input(name)
 	}
 	return bits
 }
@@ -111,15 +145,54 @@ func (b *Builder) ConstWord(v uint64, w word.Width) Word {
 	return bits
 }
 
+// hashGate mixes a gate's key into a table index seed.
+func hashGate(g gate) uint32 {
+	h := uint32(g.op)*0x9e3779b1 ^ uint32(g.a)
+	h = h*0x85ebca6b ^ uint32(g.b)
+	h = h*0xc2b2ae35 ^ uint32(g.c)
+	return h ^ h>>15
+}
+
+// intern returns the existing gate structurally equal to g, or appends g.
 func (b *Builder) intern(g gate) Bit {
-	key := [4]int32{int32(g.op), int32(g.a), int32(g.b), int32(g.c)}
-	if bit, ok := b.hash[key]; ok {
-		return bit
+	mask := uint32(len(b.table) - 1)
+	i := hashGate(g) & mask
+	for {
+		id := b.table[i]
+		if id == False {
+			break
+		}
+		if b.gates[id] == g {
+			return id
+		}
+		i = (i + 1) & mask
 	}
 	bit := Bit(len(b.gates))
-	b.gates = append(b.gates, g)
-	b.hash[key] = bit
+	b.gates = append(grow(b.gates, 1), g)
+	b.table[i] = bit
+	b.entries++
+	if 2*b.entries > len(b.table) {
+		b.growTable()
+	}
 	return bit
+}
+
+// growTable doubles the structural hash and reinserts every interned gate
+// straight from the gate array (inputs and constants are never interned).
+func (b *Builder) growTable() {
+	b.table = make([]Bit, 2*len(b.table))
+	mask := uint32(len(b.table) - 1)
+	for id := 2; id < len(b.gates); id++ {
+		g := b.gates[id]
+		if g.op == opInput {
+			continue
+		}
+		i := hashGate(g) & mask
+		for b.table[i] != False {
+			i = (i + 1) & mask
+		}
+		b.table[i] = Bit(id)
+	}
 }
 
 // Not returns the complement of a.
@@ -531,6 +604,15 @@ func NewCNF(b *Builder, s *sat.Solver) *CNF {
 	return c
 }
 
+// Reset returns the encoder to the state NewCNF produces for the same
+// builder and solver — nothing encoded, counters zero, groups off — while
+// keeping the capacity of its per-gate variable map. It is meant to be
+// called together with Builder.Reset and sat.Solver.Reset, so one
+// builder/solver/encoder triple can serve many independent queries.
+func (c *CNF) Reset() {
+	*c = CNF{b: c.b, solver: c.solver, vars: c.vars[:0]}
+}
+
 // NumVars returns the number of SAT variables this encoder has allocated —
 // the encoding-size metric the observability layer reports as CNF
 // variables (distinct from Builder.NumGates, which counts circuit nodes
@@ -549,8 +631,11 @@ func (c *CNF) addClause(lits ...sat.Lit) {
 // Lit returns a SAT literal equivalent to circuit bit n, encoding the cone
 // of influence on first use.
 func (c *CNF) Lit(n Bit) sat.Lit {
-	for len(c.vars) < len(c.b.gates) {
-		c.vars = append(c.vars, -1)
+	if missing := len(c.b.gates) - len(c.vars); missing > 0 {
+		c.vars = grow(c.vars, missing)
+		for range missing {
+			c.vars = append(c.vars, -1)
+		}
 	}
 	return c.lit(n)
 }

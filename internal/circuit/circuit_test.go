@@ -344,6 +344,7 @@ func TestWidthMismatchPanics(t *testing.T) {
 }
 
 func BenchmarkBuildAdder32(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bld := New()
 		x := bld.InputWord("x", 32)
@@ -353,6 +354,7 @@ func BenchmarkBuildAdder32(b *testing.B) {
 }
 
 func BenchmarkTseitinMul10(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bld := New()
 		x := bld.InputWord("x", 10)

@@ -12,6 +12,12 @@ func newVarHeap(act *[]float64) *varHeap {
 	return &varHeap{activity: act}
 }
 
+// reset empties the heap, keeping both arrays' capacity.
+func (h *varHeap) reset() {
+	h.heap = h.heap[:0]
+	h.indices = h.indices[:0]
+}
+
 func (h *varHeap) act(v Var) float64 { return (*h.activity)[v] }
 
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }

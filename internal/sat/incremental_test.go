@@ -194,13 +194,16 @@ func TestIncrementalSolveAfterFormulaUnsat(t *testing.T) {
 }
 
 // FuzzIncrementalSolve drives a retained solver through a fuzzer-chosen
-// interleaving of clause additions and assumption solves, checking every
-// solve against a fresh solver and exhaustive enumeration.
+// interleaving of clause additions, assumption solves and Resets, checking
+// every solve against a fresh solver and exhaustive enumeration. After a
+// Reset the solver must behave exactly like a new one over the clauses
+// added since.
 func FuzzIncrementalSolve(f *testing.F) {
 	f.Add([]byte{3, 1, 5, 2, 130, 0, 7})
 	f.Add([]byte{0, 4, 128, 1, 3, 0, 255, 2, 9, 17, 0, 0})
 	f.Add([]byte{7, 1, 1, 1, 129, 0, 64, 2, 2, 3, 1, 130, 131, 0, 200})
 	f.Add([]byte{5})
+	f.Add([]byte{4, 2, 1, 130, 0, 3, 15, 2, 5, 133, 0, 9, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -214,6 +217,12 @@ func FuzzIncrementalSolve(f *testing.F) {
 		for i < len(data) && solves < 10 && len(cum) < 48 {
 			op := data[i]
 			i++
+			if op%16 == 15 {
+				s.Reset()
+				mkVars(s, n)
+				cum = nil
+				continue
+			}
 			if op%4 == 0 {
 				// Solve under one assumption derived from the next byte.
 				var assume []Lit

@@ -110,19 +110,22 @@ var ErrStopped = errors.New("sat: solve stopped by caller")
 // portfolio member abandons its solve almost immediately.
 const stopCheckInterval = 256
 
-// clauseRef indexes into the solver's clause arena. The special value
-// refUndef marks "no reason" (decision variables); refBinary+lit encodes a
-// binary-clause reason inline.
+// clauseRef indexes the solver's clause headers. The special value
+// refUndef marks "no reason" (decision variables). Refs are stable for the
+// clause's lifetime: arena compaction moves literals, never headers.
 type clauseRef int32
 
 const refUndef clauseRef = -1
 
-// clause is a disjunction of literals plus learnt-clause metadata.
+// clause is the pointer-free header of a disjunction: its literals live in
+// the solver's flat literal arena at [start, start+size), MiniSat style, so
+// loading a clause appends to one []Lit instead of allocating a slice and
+// the garbage collector never scans the clause database.
 type clause struct {
-	lits     []Lit
-	activity float64
-	learnt   bool
-	deleted  bool
+	start, size int32
+	activity    float64
+	learnt      bool
+	deleted     bool
 }
 
 // watcher pairs a watched clause with a "blocker" literal whose truth lets
@@ -170,10 +173,13 @@ func (s Stats) Sub(o Stats) Stats {
 // Solver is a CDCL SAT solver. The zero value is not usable; create one
 // with New.
 type Solver struct {
-	clauses []clause // arena; learnt and problem clauses interleaved
+	clauses []clause // headers; learnt and problem clauses interleaved
+	arena   []Lit    // every clause's literals, in header order
+	wasted  int      // arena literals owned by deleted clauses
 	learnts []clauseRef
 
 	watches [][]watcher // indexed by Lit
+	slab    []watcher   // backing store for new watch lists
 
 	assign   []lbool // indexed by Var
 	level    []int32 // decision level per var
@@ -190,9 +196,10 @@ type Solver struct {
 
 	claInc float64
 
-	seen     []bool // scratch for conflict analysis
-	analyzeT []Lit  // scratch
-	conflLit []Lit  // scratch learnt clause
+	seen     []bool    // scratch for conflict analysis
+	analyzeT []Lit     // scratch
+	conflLit []Lit     // scratch learnt clause
+	acts     []float64 // scratch for reduceDB's median activity
 
 	model []lbool // snapshot of the assignment at the last Sat result
 
@@ -221,19 +228,82 @@ func New() *Solver {
 	return s
 }
 
+// Reset returns the solver to exactly the state New produces — no
+// variables, clauses, counters, hooks or model — while keeping the
+// capacity of every internal array, so a caller issuing many independent
+// queries (CEGIS verification) stops re-growing a solver from zero each
+// time. A Reset solver makes the same decisions as a New one.
+func (s *Solver) Reset() {
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
+	}
+	*s = Solver{
+		clauses:  s.clauses[:0],
+		arena:    s.arena[:0],
+		learnts:  s.learnts[:0],
+		watches:  s.watches[:0],
+		slab:     s.slab,
+		assign:   s.assign[:0],
+		level:    s.level[:0],
+		reason:   s.reason[:0],
+		polarity: s.polarity[:0],
+		trail:    s.trail[:0],
+		trailLim: s.trailLim[:0],
+		activity: s.activity[:0],
+		varInc:   1.0,
+		order:    s.order,
+		claInc:   1.0,
+		seen:     s.seen[:0],
+		analyzeT: s.analyzeT[:0],
+		conflLit: s.conflLit[:0],
+		acts:     s.acts[:0],
+		model:    s.model[:0],
+		ok:       true,
+		core:     s.core[:0],
+	}
+	s.order.reset()
+}
+
 // NewVar allocates and returns a fresh variable.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assign))
-	s.assign = append(s.assign, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, refUndef)
-	s.polarity = append(s.polarity, true) // default phase: false (negated)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.assign = append(grow(s.assign, 1), lUndef)
+	s.level = append(grow(s.level, 1), 0)
+	s.reason = append(grow(s.reason, 1), refUndef)
+	s.polarity = append(grow(s.polarity, 1), true) // default phase: false (negated)
+	s.activity = append(grow(s.activity, 1), 0)
+	s.seen = append(grow(s.seen, 1), false)
+	n := len(s.watches)
+	s.watches = grow(s.watches, 2)[:n+2]
+	for i := n; i < n+2; i++ {
+		// A list a Reset emptied keeps its capacity; a new one starts in
+		// the shared slab.
+		if cap(s.watches[i]) == 0 {
+			s.watches[i] = s.newWatchList()
+		}
+	}
 	s.order.insert(v)
 	s.stats.MaxVar = len(s.assign)
 	return v
+}
+
+// Watch lists start with watchInit slots carved from a shared slab, so a
+// freshly loaded formula does not pay one allocation per literal per
+// doubling; a list that outgrows its slots is moved out by append as
+// usual. Slabs double from 16 lists' worth up to maxWatchSlab watchers, so
+// a tiny solver stays tiny.
+const (
+	watchInit    = 4
+	maxWatchSlab = 4096
+)
+
+func (s *Solver) newWatchList() []watcher {
+	if len(s.slab)+watchInit > cap(s.slab) {
+		s.slab = make([]watcher, 0, min(max(2*cap(s.slab), 16*watchInit), maxWatchSlab))
+	}
+	n := len(s.slab)
+	s.slab = s.slab[:n+watchInit]
+	return s.slab[n : n : n+watchInit]
 }
 
 // NumVars returns the number of allocated variables.
@@ -351,23 +421,44 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	cl := make([]Lit, len(out))
-	copy(cl, out)
-	ref := s.allocClause(cl, false)
+	ref := s.allocClause(out, false)
 	s.attachClause(ref)
 	s.stats.Clauses++
 	return true
 }
 
+// allocClause copies lits into the arena behind a new header.
 func (s *Solver) allocClause(lits []Lit, learnt bool) clauseRef {
 	ref := clauseRef(len(s.clauses))
-	s.clauses = append(s.clauses, clause{lits: lits, learnt: learnt})
+	s.clauses = append(grow(s.clauses, 1), clause{start: int32(len(s.arena)), size: int32(len(lits)), learnt: learnt})
+	s.arena = append(grow(s.arena, len(lits)), lits...)
 	return ref
 }
 
-func (s *Solver) attachClause(ref clauseRef) {
+// grow returns xs with room for n more elements, doubling the capacity
+// when it runs out. The solver's arrays only grow while a formula loads,
+// and append's growth factor for large slices (about 1.25x) would copy
+// the arena and the per-variable arrays several times over.
+func grow[T any](xs []T, n int) []T {
+	if len(xs)+n <= cap(xs) {
+		return xs
+	}
+	nx := make([]T, len(xs), max(2*cap(xs), len(xs)+n, 64))
+	copy(nx, xs)
+	return nx
+}
+
+// lits returns the clause's literals as a view into the arena; writes
+// through it (watch swaps) update the clause in place. The view is
+// invalidated by the next allocClause or compaction.
+func (s *Solver) lits(ref clauseRef) []Lit {
 	c := &s.clauses[ref]
-	l0, l1 := c.lits[0], c.lits[1]
+	return s.arena[c.start : c.start+c.size]
+}
+
+func (s *Solver) attachClause(ref clauseRef) {
+	lits := s.lits(ref)
+	l0, l1 := lits[0], lits[1]
 	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{ref, l1})
 	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{ref, l0})
 }
@@ -416,8 +507,7 @@ func (s *Solver) propagate() clauseRef {
 				n++
 				continue
 			}
-			c := &s.clauses[w.ref]
-			lits := c.lits
+			lits := s.lits(w.ref)
 			// Ensure the false literal (p.Not()) is at position 1.
 			if lits[0] == p.Not() {
 				lits[0], lits[1] = lits[1], lits[0]
@@ -468,15 +558,14 @@ func (s *Solver) analyze(confl clauseRef) int {
 	idx := len(s.trail) - 1
 
 	for {
-		c := &s.clauses[confl]
-		if c.learnt {
+		if s.clauses[confl].learnt {
 			s.bumpClause(confl)
 		}
 		start := 0
 		if p != -1 {
 			start = 1 // skip the asserting literal of the reason
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(confl)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -517,7 +606,7 @@ func (s *Solver) analyze(confl clauseRef) int {
 		redundant := false
 		if r != refUndef {
 			redundant = true
-			for _, q := range s.clauses[r].lits[1:] {
+			for _, q := range s.lits(r)[1:] {
 				if !s.seen[q.Var()] && s.level[q.Var()] != 0 {
 					redundant = false
 					break
@@ -574,7 +663,7 @@ func (s *Solver) analyzeFinal(a Lit) {
 		if r := s.reason[v]; r == refUndef {
 			s.core = append(s.core, s.trail[i])
 		} else {
-			for _, q := range s.clauses[r].lits[1:] {
+			for _, q := range s.lits(r)[1:] {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -656,47 +745,73 @@ func (s *Solver) pickBranchVar() Var {
 }
 
 // reduceDB removes roughly half of the learnt clauses, keeping the most
-// active ones and all binary clauses / current reasons.
+// active ones and all binary clauses / current reasons, then compacts the
+// literal arena once deleted clauses own more than half of it.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
 	}
 	// Partial selection: compute median activity by sampling is overkill at
-	// our scale; sort a copy of activities instead.
-	acts := make([]float64, len(s.learnts))
-	for i, r := range s.learnts {
-		acts[i] = s.clauses[r].activity
+	// our scale; select over a scratch copy of activities instead.
+	s.acts = s.acts[:0]
+	for _, r := range s.learnts {
+		s.acts = append(s.acts, s.clauses[r].activity)
 	}
-	med := quickSelectMedian(acts)
+	med := quickSelectMedian(s.acts)
 	kept := s.learnts[:0]
 	for _, r := range s.learnts {
 		c := &s.clauses[r]
-		locked := false
-		if s.litValue(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == r {
-			locked = true
-		}
-		if locked || len(c.lits) <= 2 || c.activity >= med {
+		l0 := s.arena[c.start]
+		locked := s.litValue(l0) == lTrue && s.reason[l0.Var()] == r
+		if locked || c.size <= 2 || c.activity >= med {
 			kept = append(kept, r)
 			continue
 		}
 		s.detachClause(r)
 		c.deleted = true
-		c.lits = nil
+		s.wasted += int(c.size)
 		s.stats.DeletedLearnt++
 	}
 	s.learnts = kept
+	if s.wasted > len(s.arena)/2 {
+		s.compactArena()
+	}
+}
+
+// compactArena slides every live clause's literals down over the deleted
+// ones. Headers are laid out in arena order, so an in-place forward copy
+// never overwrites literals it has yet to move; refs stay valid because
+// only each header's start changes.
+func (s *Solver) compactArena() {
+	n := int32(0)
+	for i := range s.clauses {
+		c := &s.clauses[i]
+		if c.deleted {
+			c.start, c.size = 0, 0
+			continue
+		}
+		copy(s.arena[n:], s.arena[c.start:c.start+c.size])
+		c.start = n
+		n += c.size
+	}
+	s.arena = s.arena[:n]
+	s.wasted = 0
 }
 
 func (s *Solver) detachClause(ref clauseRef) {
-	c := &s.clauses[ref]
-	for _, l := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
-		ws := s.watches[l]
-		for i, w := range ws {
-			if w.ref == ref {
-				ws[i] = ws[len(ws)-1]
-				s.watches[l] = ws[:len(ws)-1]
-				break
-			}
+	lits := s.lits(ref)
+	s.unwatch(lits[0].Not(), ref)
+	s.unwatch(lits[1].Not(), ref)
+}
+
+// unwatch removes ref's watcher from l's watch list.
+func (s *Solver) unwatch(l Lit, ref clauseRef) {
+	ws := s.watches[l]
+	for i, w := range ws {
+		if w.ref == ref {
+			ws[i] = ws[len(ws)-1]
+			s.watches[l] = ws[:len(ws)-1]
+			return
 		}
 	}
 }
@@ -818,9 +933,7 @@ func (s *Solver) search(maxConfl int64, budget *int64) Status {
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], refUndef)
 			} else {
-				cl := make([]Lit, len(learnt))
-				copy(cl, learnt)
-				ref := s.allocClause(cl, true)
+				ref := s.allocClause(learnt, true)
 				s.learnts = append(s.learnts, ref)
 				s.attachClause(ref)
 				s.bumpClause(ref)

@@ -393,6 +393,7 @@ func TestHeapOrdering(t *testing.T) {
 }
 
 func BenchmarkSolverPigeonhole(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := New()
 		pigeonhole(s, 8, 7)
@@ -403,6 +404,7 @@ func BenchmarkSolverPigeonhole(b *testing.B) {
 }
 
 func BenchmarkSolverRandom3SAT(b *testing.B) {
+	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
 		n := 60

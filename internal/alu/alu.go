@@ -133,22 +133,12 @@ func (s Stateless) Holes() []HoleDef {
 	}
 }
 
-// selectBy returns opts[h] with h clamped to the last option, built as a
-// Mux chain so it works symbolically.
-func selectBy[V any](a arith.Arith[V], h V, opts ...V) V {
-	acc := opts[len(opts)-1]
-	for i := len(opts) - 2; i >= 0; i-- {
-		acc = a.Mux(a.Eq(h, a.ConstInt(int64(i))), opts[i], acc)
-	}
-	return acc
-}
-
 // EvalStateless computes the stateless ALU output from its two mux-selected
 // operands and its holes (opcode, imm).
 func EvalStateless[V any](a arith.Arith[V], holes map[string]V, opA, opB V) V {
 	opcode := holes["opcode"]
 	imm := holes["imm"]
-	return selectBy(a, opcode,
+	return arith.Select(a, opcode,
 		imm,                  // const
 		opA,                  // pass_a
 		a.Add(opA, opB),      // add
@@ -298,15 +288,15 @@ const (
 // state-u, state), where <name>_mux selects u from {packet, <name>_const}.
 func (s Stateful) Holes() []HoleDef {
 	cb := s.EffectiveConstBits()
-	upd := func(prefix string) []HoleDef {
+	upd := func(g updHoles) []HoleDef {
 		return []HoleDef{
-			{prefix + "_mode", 2, false}, {prefix + "_mux", 1, false}, {prefix + "_const", cb, true},
+			{g.mode, 2, false}, {g.mux, 1, false}, {g.konst, cb, true},
 		}
 	}
-	pred := func(prefix string) []HoleDef {
+	pred := func(g predHoles) []HoleDef {
 		return []HoleDef{
-			{prefix + "rel", RelBits, false}, {prefix + "cmp_lmux", 1, false}, {prefix + "cmp_rmux", 1, false},
-			{prefix + "cmp_const", cb, true},
+			{g.rel, RelBits, false}, {g.lmux, 1, false}, {g.rmux, 1, false},
+			{g.konst, cb, true},
 		}
 	}
 	switch s.Kind {
@@ -315,27 +305,26 @@ func (s Stateful) Holes() []HoleDef {
 			{"mode", 1, false}, {"const", cb, true},
 		}
 	case PredRaw:
-		defs := pred("")
-		defs = append(defs, upd("upd")...)
+		defs := pred(predMain)
+		defs = append(defs, upd(updUpd)...)
 		return append(defs, HoleDef{"out_sel", outSelBits, false})
 	case IfElseRaw:
-		defs := pred("")
-		defs = append(defs, upd("then")...)
-		defs = append(defs, upd("else")...)
+		defs := pred(predMain)
+		defs = append(defs, upd(updThen)...)
+		defs = append(defs, upd(updElse)...)
 		return append(defs, HoleDef{"out_sel", outSelBits, false})
 	case Sub:
-		defs := pred("")
+		defs := pred(predMain)
 		defs = append(defs, HoleDef{"cmp_const2", cb, true})
-		defs = append(defs, upd("then")...)
-		defs = append(defs, upd("else")...)
+		defs = append(defs, upd(updThen)...)
+		defs = append(defs, upd(updElse)...)
 		return append(defs, HoleDef{"out_sel", outSelBits, false})
 	case NestedIfs:
-		defs := pred("p1_")
-		defs = append(defs, pred("p2_")...)
-		defs = append(defs, upd("upd00")...)
-		defs = append(defs, upd("upd01")...)
-		defs = append(defs, upd("upd10")...)
-		defs = append(defs, upd("upd11")...)
+		defs := pred(predP1)
+		defs = append(defs, pred(predP2)...)
+		for _, g := range updNested {
+			defs = append(defs, upd(g)...)
+		}
 		return append(defs, HoleDef{"out_sel", outSelBits, false})
 	case Pair:
 		return []HoleDef{
@@ -352,16 +341,34 @@ func (s Stateful) Holes() []HoleDef {
 	}
 }
 
+// predHoles names one predicate group's holes (relation, comparison
+// operand muxes, comparison constant), updHoles one update group's (mode,
+// operand mux, update constant). Each group is named once, so evaluation
+// builds no strings: the concrete datapath must not allocate per packet.
+type predHoles struct{ rel, lmux, rmux, konst string }
+type updHoles struct{ mode, mux, konst string }
+
+func predNames(p string) predHoles {
+	return predHoles{p + "rel", p + "cmp_lmux", p + "cmp_rmux", p + "cmp_const"}
+}
+func updNames(p string) updHoles { return updHoles{p + "_mode", p + "_mux", p + "_const"} }
+
+var (
+	predMain, predP1, predP2 = predNames(""), predNames("p1_"), predNames("p2_")
+	updUpd, updThen, updElse = updNames("upd"), updNames("then"), updNames("else")
+	updNested                = [4]updHoles{updNames("upd00"), updNames("upd01"), updNames("upd10"), updNames("upd11")}
+)
+
 // relop dispatches the 3-bit relational-operator hole.
 func relop[V any](a arith.Arith[V], rel, x, y V) V {
-	return selectBy(a, rel,
+	return arith.Select(a, rel,
 		a.Eq(x, y), a.Ne(x, y), a.Lt(x, y), a.Le(x, y), a.Gt(x, y), a.Ge(x, y))
 }
 
 // update dispatches the 2-bit update-mode hole over a base (the state) and
 // an operand u: base+u, u, base-u, base.
 func update[V any](a arith.Arith[V], mode, base, u V) V {
-	return selectBy(a, mode, a.Add(base, u), u, a.Sub(base, u), base)
+	return arith.Select(a, mode, a.Add(base, u), u, a.Sub(base, u), base)
 }
 
 // EvalStateful executes a stateful ALU template. state has NumStates
@@ -390,17 +397,17 @@ func EvalStatefulInto[V any](a arith.Arith[V], s Stateful, holes map[string]V, s
 		}
 		return v
 	}
-	// predicate evaluates a prefixed predicate hole group against the old
-	// state and the packet operand.
-	predicate := func(prefix string, oldS V) V {
-		cmpL := a.Mux(h(prefix+"cmp_lmux"), pkt[0], oldS)
-		cmpR := a.Mux(h(prefix+"cmp_rmux"), pkt[0], h(prefix+"cmp_const"))
-		return relop(a, h(prefix+"rel"), cmpL, cmpR)
+	// predicate evaluates a predicate hole group against the old state and
+	// the packet operand.
+	predicate := func(g predHoles, oldS V) V {
+		cmpL := a.Mux(h(g.lmux), pkt[0], oldS)
+		cmpR := a.Mux(h(g.rmux), pkt[0], h(g.konst))
+		return relop(a, h(g.rel), cmpL, cmpR)
 	}
-	// updGroup evaluates a prefixed update hole group.
-	updGroup := func(prefix string, oldS V) V {
-		u := a.Mux(h(prefix+"_mux"), pkt[0], h(prefix+"_const"))
-		return update(a, h(prefix+"_mode"), oldS, u)
+	// updGroup evaluates an update hole group.
+	updGroup := func(g updHoles, oldS V) V {
+		u := a.Mux(h(g.mux), pkt[0], h(g.konst))
+		return update(a, h(g.mode), oldS, u)
 	}
 	switch s.Kind {
 	case Counter:
@@ -410,17 +417,17 @@ func EvalStatefulInto[V any](a arith.Arith[V], s Stateful, holes map[string]V, s
 
 	case PredRaw:
 		oldS := state[0]
-		pred := predicate("", oldS)
-		newS := a.Mux(pred, updGroup("upd", oldS), oldS)
-		out := selectBy(a, h("out_sel"), oldS, newS, pred, h("cmp_const"))
+		pred := predicate(predMain, oldS)
+		newS := a.Mux(pred, updGroup(updUpd, oldS), oldS)
+		out := arith.Select(a, h("out_sel"), oldS, newS, pred, h("cmp_const"))
 		newSt[0] = newS
 		return out
 
 	case IfElseRaw:
 		oldS := state[0]
-		pred := predicate("", oldS)
-		newS := a.Mux(pred, updGroup("then", oldS), updGroup("else", oldS))
-		out := selectBy(a, h("out_sel"), oldS, newS, pred, h("cmp_const"))
+		pred := predicate(predMain, oldS)
+		newS := a.Mux(pred, updGroup(updThen, oldS), updGroup(updElse, oldS))
+		out := arith.Select(a, h("out_sel"), oldS, newS, pred, h("cmp_const"))
 		newSt[0] = newS
 		return out
 
@@ -429,19 +436,19 @@ func EvalStatefulInto[V any](a arith.Arith[V], s Stateful, holes map[string]V, s
 		cmpL := a.Mux(h("cmp_lmux"), pkt[0], oldS)
 		cmpR := a.Mux(h("cmp_rmux"), pkt[0], h("cmp_const"))
 		pred := relop(a, h("rel"), a.Sub(cmpL, cmpR), h("cmp_const2"))
-		newS := a.Mux(pred, updGroup("then", oldS), updGroup("else", oldS))
-		out := selectBy(a, h("out_sel"), oldS, newS, pred, h("cmp_const"))
+		newS := a.Mux(pred, updGroup(updThen, oldS), updGroup(updElse, oldS))
+		out := arith.Select(a, h("out_sel"), oldS, newS, pred, h("cmp_const"))
 		newSt[0] = newS
 		return out
 
 	case NestedIfs:
 		oldS := state[0]
-		pred1 := predicate("p1_", oldS)
-		pred2 := predicate("p2_", oldS)
+		pred1 := predicate(predP1, oldS)
+		pred2 := predicate(predP2, oldS)
 		newS := a.Mux(pred1,
-			a.Mux(pred2, updGroup("upd00", oldS), updGroup("upd01", oldS)),
-			a.Mux(pred2, updGroup("upd10", oldS), updGroup("upd11", oldS)))
-		out := selectBy(a, h("out_sel"), oldS, newS, pred1, pred2)
+			a.Mux(pred2, updGroup(updNested[0], oldS), updGroup(updNested[1], oldS)),
+			a.Mux(pred2, updGroup(updNested[2], oldS), updGroup(updNested[3], oldS)))
+		out := arith.Select(a, h("out_sel"), oldS, newS, pred1, pred2)
 		newSt[0] = newS
 		return out
 
@@ -449,7 +456,7 @@ func EvalStatefulInto[V any](a arith.Arith[V], s Stateful, holes map[string]V, s
 		oldS0, oldS1 := state[0], state[1]
 		c2 := h("upd_const")
 		sel4 := func(code V) V {
-			return selectBy(a, code, oldS0, oldS1, pkt[0], pkt[1])
+			return arith.Select(a, code, oldS0, oldS1, pkt[0], pkt[1])
 		}
 		pred := relop(a, h("rel"), a.Sub(sel4(h("cmp_lmux")), sel4(h("cmp_rmux"))), h("cmp_const"))
 		upd := func(selName, modeName string) V {
@@ -458,7 +465,7 @@ func EvalStatefulInto[V any](a arith.Arith[V], s Stateful, holes map[string]V, s
 		}
 		newS0 := a.Mux(pred, upd("s0_then_sel", "s0_then_mode"), upd("s0_else_sel", "s0_else_mode"))
 		newS1 := a.Mux(pred, upd("s1_then_sel", "s1_then_mode"), upd("s1_else_sel", "s1_else_mode"))
-		out := selectBy(a, h("out_sel"), oldS0, oldS1, newS0, newS1, pred, c2)
+		out := arith.Select(a, h("out_sel"), oldS0, oldS1, newS0, newS1, pred, c2)
 		newSt[0], newSt[1] = newS0, newS1
 		return out
 

@@ -104,6 +104,17 @@ func Unary[V any](a Arith[V], op ast.Op, x V) V {
 	}
 }
 
+// Select returns opts[sel] as a Mux chain comparing sel against the
+// constants 0..len(opts)-2 and falling back to the last option, so it
+// works symbolically; word.Width.SelIdx is its concrete meaning.
+func Select[V any](a Arith[V], sel V, opts ...V) V {
+	acc := opts[len(opts)-1]
+	for i := len(opts) - 2; i >= 0; i-- {
+		acc = a.Mux(a.Eq(sel, a.ConstInt(int64(i))), opts[i], acc)
+	}
+	return acc
+}
+
 // --- Concrete instantiation --------------------------------------------------
 
 // Conc executes Arith concretely on w-bit words carried in uint64.

@@ -15,9 +15,15 @@
 //   - Sketch: one symbolic machine instance — hole inventory, CNF domain
 //     constraints, per-test datapath instantiation, and concrete config
 //     decoding from a solver model.
-//   - Config: one synthesized artifact — a concrete interpreter for
-//     cross-checking and simulation, and a symbolic re-encoding (holes
-//     lifted to constants) for the CEGIS verification query.
+//   - Config: one synthesized artifact — an allocation-free slice
+//     executor for cross-checking and simulation, and a symbolic
+//     re-encoding (holes lifted to constants) for the CEGIS verification
+//     query.
+//
+// Above the interfaces sit the parts every target shares: the map-keyed
+// Exec adapter over a Config's slice executor, and the equivalence oracle
+// (CheckEquivalence) that re-checks a Config against the reference
+// interpreter outside the SAT stack.
 //
 // internal/sketch adapts the PISA grid onto these interfaces;
 // internal/bpf implements a restricted eBPF-style register machine.
@@ -110,9 +116,18 @@ type Config interface {
 	// RunWidth is the datapath width the configuration is proven at (the
 	// CEGIS verification width).
 	RunWidth() word.Width
-	// Exec runs one packet transaction concretely. Unknown input keys are
-	// passed through; missing fields and state read as zero. The input
-	// maps are not modified.
+	// WithRunWidth returns a copy of the configuration that executes at
+	// width w. Hole values are kept as they are and truncate or alias at
+	// narrow widths exactly as the symbolic datapath would.
+	WithRunWidth(w word.Width) Config
+	// NewExecutor returns the configuration's slice executor. Each call
+	// runs one packet transaction over value vectors in Vars order,
+	// truncated to RunWidth on entry and overwritten with the outputs,
+	// without allocating. The executor owns its scratch buffers, so each
+	// goroutine needs its own.
+	NewExecutor() func(fields, states []uint64)
+	// Exec runs one packet transaction over name-keyed maps; see the
+	// package-level Exec, which every implementation delegates to.
 	Exec(pkt, state map[string]uint64) (outPkt, outState map[string]uint64)
 	// Symbolic re-encodes the configured machine at width w over free
 	// input words, with every hole lifted to a constant — the pipeline

@@ -17,6 +17,9 @@
 //     config instead of the sketch;
 //   - the interpreter is deterministic and does not mutate its inputs,
 //     which the difftest oracles and the solution cache assume;
+//   - the slice executor agrees with the map adapter (Exec) and runs a
+//     transaction without allocating, the contract the equivalence
+//     oracle's probe loop relies on;
 //   - the backend's domain constraints carry named constraint groups from
 //     the shared vocabulary when groups are enabled, and are emitted
 //     bit-identically when they are not (the feasible path must not see
@@ -266,21 +269,27 @@ func checkInventory(t *testing.T, be backend.Backend, size, nf, ns int) {
 	}
 }
 
-// checkDeterminism runs the concrete interpreter twice on the same input
-// and verifies identical outputs and untouched input maps.
+// checkDeterminism runs the map adapter twice and the slice executor
+// once on the same input and verifies identical outputs and untouched
+// input maps, then holds the executor to zero allocations.
 func checkDeterminism(t *testing.T, cfg backend.Config, seed int64) {
 	t.Helper()
 	fields, states := cfg.Vars()
 	w := cfg.RunWidth()
+	exec := cfg.NewExecutor()
+	fv := make([]uint64, len(fields))
+	sv := make([]uint64, len(states))
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 64; trial++ {
 		pkt := map[string]uint64{}
 		st := map[string]uint64{}
-		for _, f := range fields {
-			pkt[f] = w.Trunc(rng.Uint64())
+		for i, f := range fields {
+			fv[i] = w.Trunc(rng.Uint64())
+			pkt[f] = fv[i]
 		}
-		for _, s := range states {
-			st[s] = w.Trunc(rng.Uint64())
+		for i, s := range states {
+			sv[i] = w.Trunc(rng.Uint64())
+			st[s] = sv[i]
 		}
 		inPkt, inSt := cloneMap(pkt), cloneMap(st)
 		p1, s1 := cfg.Exec(pkt, st)
@@ -291,6 +300,20 @@ func checkDeterminism(t *testing.T, cfg backend.Config, seed int64) {
 		if !sameMap(pkt, inPkt) || !sameMap(st, inSt) {
 			t.Fatalf("%s: Exec mutated its inputs: %v/%v -> %v/%v", cfg.Target(), inPkt, inSt, pkt, st)
 		}
+		exec(fv, sv)
+		for i, f := range fields {
+			if fv[i] != p1[f] {
+				t.Fatalf("%s: pkt.%s: executor=%d Exec=%d (input %v/%v)", cfg.Target(), f, fv[i], p1[f], pkt, st)
+			}
+		}
+		for i, s := range states {
+			if sv[i] != s1[s] {
+				t.Fatalf("%s: state %s: executor=%d Exec=%d (input %v/%v)", cfg.Target(), s, sv[i], s1[s], pkt, st)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { exec(fv, sv) }); allocs != 0 {
+		t.Errorf("%s: executor allocates %.1f objects per transaction, want 0", cfg.Target(), allocs)
 	}
 }
 

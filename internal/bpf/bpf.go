@@ -14,11 +14,12 @@
 // length the way it minimizes PISA stages (and superopt descends it
 // further, K2-style).
 //
-// The same generic Program function renders the machine both concretely
-// (V=uint64, for the interpreter/cross-check) and symbolically
-// (V=circuit.Word, for sketch instantiation and CEGIS verification) —
-// the single-source-of-truth idiom used throughout the repo: the
-// verified semantics and the executed semantics cannot drift.
+// The same generic Program function renders the machine symbolically
+// (V=circuit.Word, for sketch instantiation and CEGIS verification) and
+// concretely (V=uint64, the test reference for Config.NewExecutor, whose
+// slot semantics come from the same evalOp) — the single-source-of-truth
+// idiom used throughout the repo: the verified semantics and the executed
+// semantics cannot drift.
 package bpf
 
 import (
@@ -27,6 +28,7 @@ import (
 	"strings"
 
 	"repro/internal/arith"
+	"repro/internal/backend"
 	"repro/internal/word"
 )
 
@@ -268,16 +270,6 @@ func MapHoles[A, B any](h *Holes[A], f func(A) B) *Holes[B] {
 	}
 }
 
-// selectBy returns opts[sel] via a Mux chain (symbolically safe; relies
-// on sel being domain-constrained to the option range).
-func selectBy[V any](a arith.Arith[V], sel V, opts []V) V {
-	acc := opts[len(opts)-1]
-	for i := len(opts) - 2; i >= 0; i-- {
-		acc = a.Mux(a.Eq(sel, a.ConstInt(int64(i))), opts[i], acc)
-	}
-	return acc
-}
-
 // evalOp computes one opcode's result value given the selected operand
 // values. Map stores return the (unused) destination value; their effect
 // happens through the cell update in Program.
@@ -356,18 +348,18 @@ func Program[V any](a arith.Arith[V], regs int, h *Holes[V], fields, states []V)
 
 	for s := range h.Op {
 		op, dst, src, imm, cell := h.Op[s], h.Dst[s], h.Src[s], h.Imm[s], h.Cell[s]
-		dstVal := selectBy(a, dst, file)
-		srcVal := selectBy(a, src, file)
+		dstVal := arith.Select(a, dst, file...)
+		srcVal := arith.Select(a, src, file...)
 		cellVal := zero
 		if len(cells) > 0 {
-			cellVal = selectBy(a, cell, cells)
+			cellVal = arith.Select(a, cell, cells...)
 		}
 
 		choices := make([]V, NumOpcodes)
 		for v := 0; v < NumOpcodes; v++ {
 			choices[v] = evalOp(a, Opcode(v), dstVal, srcVal, imm, cellVal)
 		}
-		result := selectBy(a, op, choices)
+		result := arith.Select(a, op, choices...)
 
 		// Register writeback: every opcode except map-store writes its
 		// destination (OpNop writes its own old value, an identity).
@@ -484,36 +476,94 @@ func (c *Config) holesAt(w word.Width) *Holes[uint64] {
 	return h
 }
 
-// Exec runs one packet transaction concretely at the spec's word width.
-// Unknown input keys pass through; missing fields and states read as
-// zero. The input maps are not modified.
+// WithRunWidth implements backend.Config: a copy of the program that runs
+// at width w.
+func (c *Config) WithRunWidth(w word.Width) backend.Config {
+	cp := *c
+	cp.Spec.WordWidth = w
+	return &cp
+}
+
+// Exec runs one packet transaction over maps; see backend.Exec.
 func (c *Config) Exec(pkt, state map[string]uint64) (outPkt, outState map[string]uint64) {
+	return backend.Exec(c, pkt, state)
+}
+
+// slotPlan is one instruction decoded for execution at one width: the
+// opcode and operand indices Program's selection chains pick, and the
+// truncated selector encodings its writeback and store chains compare.
+type slotPlan struct {
+	op              Opcode
+	dst, src, cell  int
+	imm             uint64
+	dstSel, cellSel uint64
+	writes, stores  bool
+}
+
+// NewExecutor implements backend.Config. It decodes the instruction
+// stream once at the spec's width and returns an allocation-free executor
+// that matches Program over uint64 bit for bit. At widths narrower than a
+// selector hole, truncated selectors alias: the operand chains then pick
+// the first matching index (word.Width.SelIdx), and the writeback and
+// store chains write every register or cell whose index aliases the
+// selector, which is why they scan the whole file.
+func (c *Config) NewExecutor() func(fields, states []uint64) {
 	w := c.Spec.WordWidth
-	outPkt = make(map[string]uint64, len(pkt))
-	for k, v := range pkt {
-		outPkt[k] = v
+	var a arith.Arith[uint64] = arith.Conc{W: w}
+	cells := len(c.States)
+	file := make([]uint64, c.Spec.RegsFor(len(c.Fields)))
+	stMap := w.Trunc(uint64(OpStMap))
+	plan := make([]slotPlan, len(c.Instrs))
+	for i, in := range c.Instrs {
+		p := slotPlan{
+			op:      Opcode(w.SelIdx(uint64(in.Op), NumOpcodes)),
+			dst:     w.SelIdx(uint64(in.Dst), len(file)),
+			src:     w.SelIdx(uint64(in.Src), len(file)),
+			imm:     w.Trunc(in.Imm),
+			dstSel:  w.Trunc(uint64(in.Dst)),
+			cellSel: w.Trunc(uint64(in.Cell)),
+			writes:  w.Trunc(uint64(in.Op)) != stMap,
+			stores:  cells > 0 && w.Trunc(uint64(in.Op)) == stMap,
+		}
+		if cells > 0 {
+			p.cell = w.SelIdx(uint64(in.Cell), cells)
+		}
+		plan[i] = p
 	}
-	outState = make(map[string]uint64, len(state))
-	for k, v := range state {
-		outState[k] = v
+	return func(fields, states []uint64) {
+		for i := range file {
+			file[i] = 0
+			if i < len(fields) {
+				file[i] = w.Trunc(fields[i])
+			}
+		}
+		for i := range states {
+			states[i] = w.Trunc(states[i])
+		}
+		for _, p := range plan {
+			dstVal, srcVal := file[p.dst], file[p.src]
+			var cellVal uint64
+			if cells > 0 {
+				cellVal = states[p.cell]
+			}
+			r := evalOp(a, p.op, dstVal, srcVal, p.imm, cellVal)
+			if p.writes {
+				for j := range file {
+					if w.Trunc(uint64(j)) == p.dstSel {
+						file[j] = r
+					}
+				}
+			}
+			if p.stores {
+				for k := range states {
+					if w.Trunc(uint64(k)) == p.cellSel {
+						states[k] = srcVal
+					}
+				}
+			}
+		}
+		copy(fields, file)
 	}
-	fields := make([]uint64, len(c.Fields))
-	for i, f := range c.Fields {
-		fields[i] = w.Trunc(pkt[f])
-	}
-	states := make([]uint64, len(c.States))
-	for i, s := range c.States {
-		states[i] = w.Trunc(state[s])
-	}
-	a := arith.Conc{W: w}
-	outF, outS := Program[uint64](a, c.Spec.RegsFor(len(c.Fields)), c.holesAt(w), fields, states)
-	for i, f := range c.Fields {
-		outPkt[f] = outF[i]
-	}
-	for i, s := range c.States {
-		outState[s] = outS[i]
-	}
-	return outPkt, outState
 }
 
 // String renders the program as an annotated asm listing.

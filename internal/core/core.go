@@ -31,7 +31,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/bpf"
 	"repro/internal/cegis"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/perfhist"
 	"repro/internal/pisa"
@@ -672,40 +671,17 @@ func searchPortfolio(ctx context.Context, prog *ast.Program, opts Options, rep *
 }
 
 // crossCheck differentially tests the synthesized configuration against the
-// reference interpreter on random inputs at the configuration's run width.
-// CEGIS already proved equivalence at that width through the SAT backend;
-// this guards the toolchain itself (sketch extraction, simulator) against
-// bugs, in the spirit of translation validation.
+// reference interpreter on 64 random inputs at the configuration's run
+// width. CEGIS already proved equivalence at that width through the SAT
+// backend; this guards the toolchain itself (sketch extraction, simulator)
+// against bugs, in the spirit of translation validation. It runs on every
+// compile and cache hit, so it draws far fewer inputs than the full
+// oracle (backend.CheckEquivalence).
 func crossCheck(prog *ast.Program, cfg backend.Config, seed int64) error {
-	w := cfg.RunWidth()
 	fields, states := cfg.Vars()
-	in := interp.MustNew(w)
 	rng := rand.New(rand.NewSource(seed + 1))
-	for trial := 0; trial < 64; trial++ {
-		snap := interp.NewSnapshot()
-		for _, f := range fields {
-			snap.Pkt[f] = w.Trunc(rng.Uint64())
-		}
-		for _, s := range states {
-			snap.State[s] = w.Trunc(rng.Uint64())
-		}
-		want, err := in.Run(prog, snap)
-		if err != nil {
-			return err
-		}
-		gotPkt, gotState := cfg.Exec(snap.Pkt, snap.State)
-		for _, f := range fields {
-			if gotPkt[f] != want.Pkt[f] {
-				return fmt.Errorf("cross-check failed on %s: pkt.%s = %d, spec says %d",
-					snap, f, gotPkt[f], want.Pkt[f])
-			}
-		}
-		for _, s := range states {
-			if gotState[s] != want.State[s] {
-				return fmt.Errorf("cross-check failed on %s: state %s = %d, spec says %d",
-					snap, s, gotState[s], want.State[s])
-			}
-		}
+	if m := backend.Probe(cfg.RunWidth(), len(fields)+len(states), rng, 64, backend.NewChecker(prog, cfg).Compare); m != nil {
+		return fmt.Errorf("cross-check failed: %w", m)
 	}
 	return nil
 }

@@ -1,13 +1,9 @@
 package difftest
 
 import (
-	"fmt"
-	"math/rand"
-
 	"repro/internal/ast"
 	"repro/internal/bpf"
 	"repro/internal/core"
-	"repro/internal/interp"
 )
 
 // bpfFuzzSlots is the fixed slot budget for random-scenario BPF compiles.
@@ -27,111 +23,9 @@ func bpfScenarioOptions(sc Scenario, seed int64) core.Options {
 	return opts
 }
 
-// bpfProbeCount is the random-probe budget for the BPF oracle. The BPF
-// datapath's Exec is map-based (no allocation-free fast path yet), but a
-// few thousand probes are still cheap, and the register machine's larger
-// per-slot hole space warrants more sampling than the grid datapath gets.
-const bpfProbeCount = 4096
-
-// CheckBPFConfigEquivalence is the brute-force reference oracle for the
-// BPF backend: a synthesized register program must agree with the
-// reference interpreter input-for-input. It enumerates the full input
-// space at exhaustiveCheckWidth when it fits the bit budget, then fires
-// random probes at the configuration's own (verification) width. The
-// exhaustive width is sound here because it equals the machine's minimum
-// width (the 5-bit opcode selector) — below it, Exec's truncating
-// selection would alias opcodes.
+// CheckBPFConfigEquivalence is CheckConfigEquivalence for a register
+// program. It predates the target-generic oracle; the bench module still
+// calls it.
 func CheckBPFConfigEquivalence(prog *ast.Program, cfg *bpf.Config, seed int64) *Discrepancy {
-	nVars := len(cfg.Fields) + len(cfg.States)
-
-	if int(exhaustiveCheckWidth)*nVars <= exhaustiveBitBudget {
-		small := *cfg
-		small.Spec.WordWidth = exhaustiveCheckWidth
-		if d := bpfSweepExhaustive(prog, &small); d != nil {
-			return d
-		}
-	}
-
-	rng := rand.New(rand.NewSource(seed))
-	return bpfProbeRandom(prog, cfg, rng, bpfProbeCount)
-}
-
-// bpfCompareAt runs one input through the interpreter and the BPF machine
-// and reports the first disagreement on the config's variables.
-func bpfCompareAt(in *interp.Interp, prog *ast.Program, cfg *bpf.Config, snap interp.Snapshot) *Discrepancy {
-	want, err := in.Run(prog, snap)
-	if err != nil {
-		return &Discrepancy{Kind: KindCompileError, Detail: fmt.Sprintf("interpreter rejected input %s: %v", snap, err)}
-	}
-	gotPkt, gotState := cfg.Exec(snap.Pkt, snap.State)
-	for _, f := range cfg.Fields {
-		if gotPkt[f] != want.Pkt[f] {
-			return &Discrepancy{
-				Kind: KindConfigMismatch,
-				Detail: fmt.Sprintf("width %d input %s: bpf pkt.%s = %d, interpreter says %d",
-					cfg.Spec.WordWidth, snap, f, gotPkt[f], want.Pkt[f]),
-			}
-		}
-	}
-	for _, s := range cfg.States {
-		if gotState[s] != want.State[s] {
-			return &Discrepancy{
-				Kind: KindConfigMismatch,
-				Detail: fmt.Sprintf("width %d input %s: bpf state %s = %d, interpreter says %d",
-					cfg.Spec.WordWidth, snap, s, gotState[s], want.State[s]),
-			}
-		}
-	}
-	return nil
-}
-
-// bpfSweepExhaustive enumerates every (packet, state) input at the
-// config's width via an odometer over the config's variables.
-func bpfSweepExhaustive(prog *ast.Program, cfg *bpf.Config) *Discrepancy {
-	w := cfg.Spec.WordWidth
-	in := interp.MustNew(w)
-	counts := make([]uint64, len(cfg.Fields)+len(cfg.States))
-	size := w.Size()
-	for {
-		snap := interp.NewSnapshot()
-		for i, f := range cfg.Fields {
-			snap.Pkt[f] = counts[i]
-		}
-		for i, s := range cfg.States {
-			snap.State[s] = counts[len(cfg.Fields)+i]
-		}
-		if d := bpfCompareAt(in, prog, cfg, snap); d != nil {
-			return d
-		}
-		i := 0
-		for ; i < len(counts); i++ {
-			counts[i]++
-			if counts[i] < size {
-				break
-			}
-			counts[i] = 0
-		}
-		if i == len(counts) {
-			return nil
-		}
-	}
-}
-
-// bpfProbeRandom samples n random inputs at the config's width.
-func bpfProbeRandom(prog *ast.Program, cfg *bpf.Config, rng *rand.Rand, n int) *Discrepancy {
-	w := cfg.Spec.WordWidth
-	in := interp.MustNew(w)
-	for trial := 0; trial < n; trial++ {
-		snap := interp.NewSnapshot()
-		for _, f := range cfg.Fields {
-			snap.Pkt[f] = w.Trunc(rng.Uint64())
-		}
-		for _, s := range cfg.States {
-			snap.State[s] = w.Trunc(rng.Uint64())
-		}
-		if d := bpfCompareAt(in, prog, cfg, snap); d != nil {
-			return d
-		}
-	}
-	return nil
+	return CheckConfigEquivalence(prog, cfg, seed)
 }

@@ -96,7 +96,7 @@ func TestBPFCorpusEndToEnd(t *testing.T) {
 			if err := cfg.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if d := CheckBPFConfigEquivalence(prog, cfg, bb.seed); d != nil {
+			if d := CheckConfigEquivalence(prog, cfg, bb.seed); d != nil {
 				t.Fatalf("%s\nconfig:\n%s", d, cfg)
 			}
 			t.Logf("%s @%d slots in %v:\n%s", bb.name, bb.slots, time.Since(start), cfg)

@@ -356,7 +356,7 @@ func runIteration(ctx context.Context, i int, opts CampaignOptions, mu *sync.Mut
 		default:
 			count(func(s *Summary) { s.BPFFeasible++ })
 			if cfg, ok := brep.Artifact.(*bpf.Config); ok {
-				if d := CheckBPFConfigEquivalence(sc.Prog, cfg, seed); d != nil {
+				if d := CheckConfigEquivalence(sc.Prog, cfg, seed); d != nil {
 					fail(d.Kind, "bpf: "+d.Detail, sc.Prog.Print(), false)
 				}
 			} else {

@@ -145,30 +145,41 @@ func TestCheckSolverPassesProductionSolver(t *testing.T) {
 	}
 }
 
-// TestCheckConfigEquivalenceDetectsWrongConfig compiles one program and
-// checks its config against a different program: the brute-force oracle
-// must notice.
+// TestCheckConfigEquivalenceDetectsWrongConfig compiles one program per
+// target and checks its config against a different program: the
+// brute-force oracle must notice on both.
 func TestCheckConfigEquivalenceDetectsWrongConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles through CEGIS")
 	}
 	prog := parser.MustParse("inc", "pkt.a = pkt.a + 1;")
 	other := parser.MustParse("inc2", "pkt.a = pkt.a + 2;")
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	rep, err := core.Compile(ctx, prog, core.Options{Width: 1, MaxStages: 1})
-	if err != nil || !rep.Feasible {
-		t.Fatalf("baseline compile failed: err=%v rep=%+v", err, rep)
+	targets := map[string]core.Options{
+		"pisa": {Width: 1, MaxStages: 1},
+		"bpf":  {Target: "bpf", FixedStages: true, MaxStages: 1},
 	}
-	if d := CheckConfigEquivalence(prog, rep.Config, 1); d != nil {
-		t.Fatalf("honest config flagged: %s", d)
-	}
-	d := CheckConfigEquivalence(other, rep.Config, 1)
-	if d == nil {
-		t.Fatal("config for pkt.a+1 passed as implementation of pkt.a+2")
-	}
-	if d.Kind != KindConfigMismatch {
-		t.Fatalf("discrepancy kind = %q, want %q", d.Kind, KindConfigMismatch)
+	for name, opts := range targets {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			rep, err := core.Compile(ctx, prog, opts)
+			if err != nil || !rep.Feasible {
+				t.Fatalf("baseline compile failed: err=%v rep=%+v", err, rep)
+			}
+			if rep.Artifact.Target() != name {
+				t.Fatalf("artifact target = %q", rep.Artifact.Target())
+			}
+			if d := CheckConfigEquivalence(prog, rep.Artifact, 1); d != nil {
+				t.Fatalf("honest config flagged: %s", d)
+			}
+			d := CheckConfigEquivalence(other, rep.Artifact, 1)
+			if d == nil {
+				t.Fatal("config for pkt.a+1 passed as implementation of pkt.a+2")
+			}
+			if d.Kind != KindConfigMismatch {
+				t.Fatalf("discrepancy kind = %q, want %q", d.Kind, KindConfigMismatch)
+			}
+		})
 	}
 }
 

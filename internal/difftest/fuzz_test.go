@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arith"
+	"repro/internal/backend"
 	"repro/internal/bpf"
 	"repro/internal/core"
+	"repro/internal/pisa"
 )
 
 // FuzzSolver derives a CNF from fuzz bytes and differentially tests the
@@ -88,7 +91,7 @@ func FuzzBPFCompileEquivalence(f *testing.F) {
 		if !ok {
 			t.Fatalf("bpf artifact is %T, want *bpf.Config", rep.Artifact)
 		}
-		if d := CheckBPFConfigEquivalence(sc.Prog, cfg, 1); d != nil {
+		if d := CheckConfigEquivalence(sc.Prog, cfg, 1); d != nil {
 			t.Fatalf("%s\nprogram:\n%s", d, sc.Prog.Print())
 		}
 	})
@@ -96,10 +99,10 @@ func FuzzBPFCompileEquivalence(f *testing.F) {
 
 // FuzzCompiledExec derives a random configuration from fuzz bytes — no
 // synthesis in the loop, so iterations are cheap — and differentially
-// tests the three execution paths against each other: the map-based
-// Config.Exec, the allocation-free Config.ExecInto, and the compiled
-// line-rate engine, including an exhaustive small-space sweep when the
-// input space fits a fuzz-friendly budget.
+// tests the execution paths: the compiled line-rate engine against the
+// allocation-free Config.ExecInto, including an exhaustive small-space
+// sweep when the input space fits a fuzz-friendly budget, and ExecInto
+// against the generic Datapath over uint64, the independent reference.
 func FuzzCompiledExec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9})
@@ -115,42 +118,37 @@ func FuzzCompiledExec(f *testing.F) {
 		// per-input depth (the campaign and linerate tests go deep).
 		nVars := len(cfg.Fields) + len(cfg.States)
 		if 5*nVars <= 10 {
-			small := *cfg
-			small.Grid.WordWidth = 5
-			if d := engineSweep(&small, nil, 0); d != nil {
+			if d := backend.Sweep(5, nVars, engineCheck(cfg.WithRunWidth(5))); d != nil {
 				t.Fatalf("%s\nconfig:\n%s", d, cfg)
 			}
 		}
+		w := cfg.Grid.WordWidth
 		rng := rand.New(rand.NewSource(1))
-		if d := engineSweep(cfg, rng, 512); d != nil {
+		if d := backend.Probe(w, nVars, rng, 512, engineCheck(cfg)); d != nil {
 			t.Fatalf("%s\nconfig:\n%s", d, cfg)
 		}
-		// Triangulate the map-based path against the flat path.
-		w := cfg.Grid.WordWidth
-		scratch := cfg.NewScratch()
+		// Triangulate the slice path against the generic reference.
+		a := arith.Conc{W: w}
+		exec := cfg.NewExecutor()
 		fv := make([]uint64, len(cfg.Fields))
 		sv := make([]uint64, len(cfg.States))
 		for trial := 0; trial < 32; trial++ {
-			pkt := map[string]uint64{}
-			st := map[string]uint64{}
-			for i, name := range cfg.Fields {
+			for i := range fv {
 				fv[i] = w.Trunc(rng.Uint64())
-				pkt[name] = fv[i]
 			}
-			for i, name := range cfg.States {
+			for i := range sv {
 				sv[i] = w.Trunc(rng.Uint64())
-				st[name] = sv[i]
 			}
-			outPkt, outSt := cfg.Exec(pkt, st)
-			cfg.ExecInto(scratch, fv, sv)
+			wantF, wantS := pisa.Datapath[uint64](a, cfg.Grid, cfg.Values, fv, sv)
+			exec(fv, sv)
 			for i, name := range cfg.Fields {
-				if fv[i] != outPkt[name] {
-					t.Fatalf("pkt.%s: ExecInto=%d Exec=%d\nconfig:\n%s", name, fv[i], outPkt[name], cfg)
+				if fv[i] != wantF[i] {
+					t.Fatalf("pkt.%s: ExecInto=%d Datapath=%d\nconfig:\n%s", name, fv[i], wantF[i], cfg)
 				}
 			}
 			for i, name := range cfg.States {
-				if sv[i] != outSt[name] {
-					t.Fatalf("state %s: ExecInto=%d Exec=%d\nconfig:\n%s", name, sv[i], outSt[name], cfg)
+				if sv[i] != wantS[i] {
+					t.Fatalf("state %s: ExecInto=%d Datapath=%d\nconfig:\n%s", name, sv[i], wantS[i], cfg)
 				}
 			}
 		}

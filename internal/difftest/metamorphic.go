@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/mutate"
@@ -89,7 +90,7 @@ func checkMutantEquivalent(sc Scenario, m mutate.Mutant, seed int64) *Discrepanc
 	// Exhaustive at width 3 when the space fits (mirrors the interpreter's
 	// own feasibility bound), random at the verification width otherwise.
 	const w = word.Width(3)
-	if int(w)*nVars <= exhaustiveBitBudget {
+	if int(w)*nVars <= backend.ExhaustiveBits {
 		in := interp.MustNew(w)
 		eq, cex, err := in.Equivalent(sc.Prog, m.Program)
 		if err != nil {

@@ -3,11 +3,11 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/alu"
-	"repro/internal/ast"
+	"repro/internal/backend"
 	"repro/internal/cegis"
-	"repro/internal/interp"
 	"repro/internal/pisa"
 	"repro/internal/word"
 )
@@ -45,26 +45,30 @@ func SpotCheckInfeasible(sc Scenario, stages, samples int, seed int64) *Discrepa
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	quick := quickProbes(sc.Prog, fields, states, grid.WordWidth, rng)
+	nVars := len(fields) + len(states)
+	// A handful of random inputs for fast candidate rejection.
+	var quick [][]uint64
+	backend.Probe(grid.WordWidth, nVars, rng, 8, func(in []uint64) *backend.Mismatch {
+		quick = append(quick, slices.Clone(in))
+		return nil
+	})
 	for i := 0; i < samples; i++ {
 		cfg := randomConfig(rng, grid, fields, states)
 		if cfg.Validate() != nil {
 			continue
 		}
 		// Cheap rejection first: almost every random config dies on the
-		// first probe, keeping the per-sample cost near one Exec call.
-		if !agreesOnProbes(sc.Prog, cfg, quick) {
+		// first probe, keeping the per-sample cost near one transaction.
+		if !agreesOn(backend.NewChecker(sc.Prog, cfg), quick) {
 			continue
 		}
 		// Survivor: apply the full oracle battery before alleging a bug.
 		if d := CheckConfigEquivalence(sc.Prog, cfg, seed+int64(i)); d != nil {
 			continue
 		}
-		synthCfg := *cfg
-		synthCfg.Grid.WordWidth = effectiveSynthWidth(grid)
-		if len(fields)+len(states) > 0 &&
-			int(synthCfg.Grid.WordWidth)*(len(fields)+len(states)) <= exhaustiveBitBudget {
-			if d := sweepExhaustive(sc.Prog, &synthCfg); d != nil {
+		synthW := effectiveSynthWidth(grid)
+		if nVars > 0 && int(synthW)*nVars <= backend.ExhaustiveBits {
+			if backend.Sweep(synthW, nVars, backend.NewChecker(sc.Prog, cfg.WithRunWidth(synthW)).Compare) != nil {
 				continue
 			}
 		}
@@ -102,46 +106,12 @@ func effectiveSynthWidth(grid pisa.GridSpec) word.Width {
 	return w
 }
 
-// probe is one precomputed (input, expected output) pair.
-type probe struct {
-	in, want interp.Snapshot
-}
-
-// quickProbes draws a handful of random inputs used for fast candidate
-// rejection.
-func quickProbes(prog *ast.Program, fields, states []string, w word.Width, rng *rand.Rand) []probe {
-	in := interp.MustNew(w)
-	probes := make([]probe, 0, 8)
-	for i := 0; i < 8; i++ {
-		snap := interp.NewSnapshot()
-		for _, f := range fields {
-			snap.Pkt[f] = w.Trunc(rng.Uint64())
-		}
-		for _, s := range states {
-			snap.State[s] = w.Trunc(rng.Uint64())
-		}
-		want, err := in.Run(prog, snap)
-		if err != nil {
-			continue
-		}
-		probes = append(probes, probe{in: snap, want: want})
-	}
-	return probes
-}
-
-// agreesOnProbes runs the candidate config over the precomputed probes.
-func agreesOnProbes(prog *ast.Program, cfg *pisa.Config, probes []probe) bool {
-	for _, p := range probes {
-		gotPkt, gotState := cfg.Exec(p.in.Pkt, p.in.State)
-		for _, f := range cfg.Fields {
-			if gotPkt[f] != p.want.Pkt[f] {
-				return false
-			}
-		}
-		for _, s := range cfg.States {
-			if gotState[s] != p.want.State[s] {
-				return false
-			}
+// agreesOn reports whether the checker's configuration matches the
+// interpreter on every input.
+func agreesOn(ck *backend.Checker, inputs [][]uint64) bool {
+	for _, in := range inputs {
+		if ck.Compare(in) != nil {
+			return false
 		}
 	}
 	return true

@@ -267,7 +267,6 @@ func (in *Interp) Equivalent(a, b *ast.Program) (bool, Snapshot, error) {
 	if totalBits > 24 {
 		return false, Snapshot{}, fmt.Errorf("interp: exhaustive check over %d bits is infeasible", totalBits)
 	}
-	size := in.width.Size()
 	counts := make([]uint64, nVars)
 	for {
 		input := NewSnapshot()
@@ -288,16 +287,7 @@ func (in *Interp) Equivalent(a, b *ast.Program) (bool, Snapshot, error) {
 		if !ra.Equal(rb, fields, states) {
 			return false, input, nil
 		}
-		// Odometer increment.
-		i := 0
-		for ; i < nVars; i++ {
-			counts[i]++
-			if counts[i] < size {
-				break
-			}
-			counts[i] = 0
-		}
-		if i == nVars {
+		if !in.width.Next(counts) {
 			return true, Snapshot{}, nil
 		}
 	}

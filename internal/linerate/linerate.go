@@ -2,10 +2,9 @@
 // execution engine — the runtime half of the paper's premise that
 // synthesized switch code runs at line rate.
 //
-// Config.Exec interprets the grid generically: every packet marshals
-// field and state values through maps, every mux re-walks its selection
-// chain, and every hole is re-read per packet. Compile does all of that
-// work once. Field and state names resolve to slot indices at compile
+// Config.ExecInto interprets the grid: every mux re-walks its selection
+// chain and every hole is re-read from its map per packet. Compile does
+// that work once. Field and state names resolve to slot indices at compile
 // time; each ALU's hole values are lifted into a constant-folding
 // instantiation of the same generic ALU semantics (internal/alu evaluated
 // over a partial-evaluation value domain), so the mux chains collapse and
@@ -13,12 +12,12 @@
 // opcode with immediates folded in. Execution then moves flat []uint64
 // vectors through the stages with zero per-packet allocation.
 //
-// Bit-identity with Config.Exec is the load-bearing property: the ALU
+// Bit-identity with Config.ExecInto is the load-bearing property: the ALU
 // bodies are the shared generic definitions (not a reimplementation), the
 // folding arithmetic applies exactly the word.Width operations
 // arith.Conc applies at runtime, and the grid plumbing reproduces the
 // Datapath's mux-chain semantics (including the truncating-selector
-// aliasing at narrow word widths) via pisa.SelIdx. The equivalence is
+// aliasing at narrow word widths) via word.Width.SelIdx. The equivalence is
 // pinned by exhaustive small-width sweeps, randomized full-width probes,
 // and a native fuzz target in internal/difftest.
 package linerate
@@ -282,7 +281,7 @@ func Compile(cfg *pisa.Config) (*Engine, error) {
 
 		outRef := make([]bool, g.Width)
 		for j := 0; j < g.Width; j++ {
-			sel := pisa.SelIdx(w, cfg.Values.OMux[i][j], g.Width+1)
+			sel := w.SelIdx(cfg.Values.OMux[i][j], g.Width+1)
 			if sel < g.Width {
 				st.route[j] = sel
 				outRef[sel] = true
@@ -297,8 +296,8 @@ func Compile(cfg *pisa.Config) (*Engine, error) {
 			}
 			holes := liftHoles(cfg.Values.Stateless[i][j])
 			plan := slPlan{
-				ia: pisa.SelIdx(w, cfg.Values.Stateless[i][j]["imux1"], g.Width),
-				ib: pisa.SelIdx(w, cfg.Values.Stateless[i][j]["imux2"], g.Width),
+				ia: w.SelIdx(cfg.Values.Stateless[i][j]["imux1"], g.Width),
+				ib: w.SelIdx(cfg.Values.Stateless[i][j]["imux2"], g.Width),
 			}
 			plan.fn = alu.EvalStateless[cv](a, holes, varP0, varP1).eval()
 			st.sl[j] = plan
@@ -312,7 +311,7 @@ func Compile(cfg *pisa.Config) (*Engine, error) {
 			holes := liftHoles(cfg.Values.Stateful[i][j])
 			plan := sfPlan{slot: j, active: active, outRef: outRef[j]}
 			for k := 0; k < npkt; k++ {
-				plan.pktIdx[k] = pisa.SelIdx(w, cfg.Values.Stateful[i][j][fmt.Sprintf("imux%d", k)], g.Width)
+				plan.pktIdx[k] = w.SelIdx(cfg.Values.Stateful[i][j][fmt.Sprintf("imux%d", k)], g.Width)
 			}
 			// When inactive, the state operands read as zero — bake that in.
 			stIn := make([]cv, ns)

@@ -8,8 +8,9 @@
 // The datapath is written once, generically over arith.Arith, and used two
 // ways:
 //
-//   - concretely (V = uint64) by Config.Exec, the simulator that runs a
-//     synthesized configuration over packets, and
+//   - concretely (V = uint64) as the test reference for Config.ExecInto,
+//     the simulator that runs a synthesized configuration over packets,
+//     and
 //   - symbolically (V = circuit.Word) by internal/sketch, which feeds the
 //     same datapath hole variables instead of concrete controls, producing
 //     the sketch circuit that CEGIS solves.
@@ -196,15 +197,6 @@ func MapHoles[A, B any](h *Holes[A], f func(A) B) *Holes[B] {
 	return out
 }
 
-// selectBy returns opts[sel] via a Mux chain (symbolically safe).
-func selectBy[V any](a arith.Arith[V], sel V, opts []V) V {
-	acc := opts[len(opts)-1]
-	for i := len(opts) - 2; i >= 0; i-- {
-		acc = a.Mux(a.Eq(sel, a.ConstInt(int64(i))), opts[i], acc)
-	}
-	return acc
-}
-
 // Datapath pushes one packet through the grid: fields is the packet's
 // field vector in allocation order (length numFields <= Width), states the
 // state vector in canonical slot order (length <= StateSlots). It returns
@@ -259,8 +251,8 @@ func Datapath[V any](a arith.Arith[V], g GridSpec, h *Holes[V], fields, states [
 		dest := make([]V, g.Width)
 		for j := 0; j < g.Width; j++ {
 			holes := h.Stateless[i][j]
-			opA := selectBy(a, holes["imux1"], inputs)
-			opB := selectBy(a, holes["imux2"], inputs)
+			opA := arith.Select(a, holes["imux1"], inputs...)
+			opB := arith.Select(a, holes["imux2"], inputs...)
 			dest[j] = alu.EvalStateless(a, holes, opA, opB)
 		}
 
@@ -274,7 +266,7 @@ func Datapath[V any](a arith.Arith[V], g GridSpec, h *Holes[V], fields, states [
 			active := a.Eq(h.SaluActive[i][j], one)
 			pktOps := make([]V, g.StatefulALU.NumPacketOperands())
 			for k := range pktOps {
-				pktOps[k] = selectBy(a, holes[fmt.Sprintf("imux%d", k)], inputs)
+				pktOps[k] = arith.Select(a, holes[fmt.Sprintf("imux%d", k)], inputs...)
 			}
 			stIn := make([]V, ns)
 			for k := 0; k < ns; k++ {
@@ -294,7 +286,7 @@ func Datapath[V any](a arith.Arith[V], g GridSpec, h *Holes[V], fields, states [
 			opts := make([]V, 0, g.Width+1)
 			opts = append(opts, sfOut...)
 			opts = append(opts, dest[j])
-			next[j] = selectBy(a, h.OMux[i][j], opts)
+			next[j] = arith.Select(a, h.OMux[i][j], opts...)
 		}
 		containers = next
 	}
@@ -387,37 +379,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Exec runs one packet transaction through the configured pipeline.
-// Unknown fields in the input packet are ignored; missing fields and state
-// read as zero. The input maps are not modified.
-func (c *Config) Exec(pkt, state map[string]uint64) (outPkt, outState map[string]uint64) {
-	a := arith.Conc{W: c.Grid.WordWidth}
-	fields := make([]uint64, len(c.Fields))
-	for i, f := range c.Fields {
-		fields[i] = c.Grid.WordWidth.Trunc(pkt[f])
-	}
-	states := make([]uint64, len(c.States))
-	for i, s := range c.States {
-		states[i] = c.Grid.WordWidth.Trunc(state[s])
-	}
-	outF, outS := Datapath[uint64](a, c.Grid, c.Values, fields, states)
-	outPkt = make(map[string]uint64, len(pkt))
-	for k, v := range pkt {
-		outPkt[k] = v
-	}
-	for i, f := range c.Fields {
-		outPkt[f] = outF[i]
-	}
-	outState = make(map[string]uint64, len(state))
-	for k, v := range state {
-		outState[k] = v
-	}
-	for i, s := range c.States {
-		outState[s] = outS[i]
-	}
-	return outPkt, outState
-}
-
 // --- Allocation-free execution -------------------------------------------------
 
 // ExecScratch holds the buffers ExecInto threads one packet through the
@@ -454,31 +415,16 @@ func (c *Config) NewScratch() *ExecScratch {
 	}
 }
 
-// SelIdx mirrors selectBy's Mux-chain semantics concretely: the first
-// option index whose w-bit constant encoding equals sel's w-bit truncation
-// wins, falling back to the last option. At widths at least as wide as the
-// selector hole this is a plain clamped index; at narrower datapath widths
-// it reproduces the truncating-Eq aliasing of the generic chain exactly.
-func SelIdx(w word.Width, sel uint64, n int) int {
-	s := w.Trunc(sel)
-	for i := 0; i < n-1; i++ {
-		if s == w.Trunc(uint64(i)) {
-			return i
-		}
-	}
-	return n - 1
-}
-
 // imuxNames indexes the stateful input-mux hole names without formatting.
 var imuxNames = [...]string{"imux0", "imux1"}
 
 // ExecInto runs one packet transaction with caller-owned buffers: fields
 // and states are value vectors in Fields/States order, truncated to the
 // datapath width on entry and overwritten with the transaction's outputs.
-// It is bit-identical to Exec (property-tested exhaustively at small
-// widths and randomly at full width) but allocation-free: the map
-// marshalling is gone and the datapath plumbing is specialized to concrete
-// uint64 values, while all ALU semantics still evaluate through the shared
+// It is bit-identical to the generic Datapath over uint64 (property-tested
+// exhaustively at small widths and randomly at full width) but
+// allocation-free: the datapath plumbing is specialized to concrete uint64
+// values, while all ALU semantics still evaluate through the shared
 // generic definitions in internal/alu.
 func (c *Config) ExecInto(s *ExecScratch, fields, states []uint64) {
 	a := s.a
@@ -524,8 +470,8 @@ func (c *Config) ExecInto(s *ExecScratch, fields, states []uint64) {
 		// Stateless ALUs.
 		for j := 0; j < g.Width; j++ {
 			holes := c.Values.Stateless[i][j]
-			opA := cur[SelIdx(w, holes["imux1"], g.Width)]
-			opB := cur[SelIdx(w, holes["imux2"], g.Width)]
+			opA := cur[w.SelIdx(holes["imux1"], g.Width)]
+			opB := cur[w.SelIdx(holes["imux2"], g.Width)]
 			s.dest[j] = alu.EvalStateless[uint64](a, holes, opA, opB)
 		}
 		// Stateful ALUs: always execute; the state operand reads the
@@ -534,7 +480,7 @@ func (c *Config) ExecInto(s *ExecScratch, fields, states []uint64) {
 			holes := c.Values.Stateful[i][j]
 			active := w.Eq(c.Values.SaluActive[i][j], 1) != 0
 			for k := 0; k < npkt; k++ {
-				s.pktOps[k] = cur[SelIdx(w, holes[imuxNames[k]], g.Width)]
+				s.pktOps[k] = cur[w.SelIdx(holes[imuxNames[k]], g.Width)]
 			}
 			for k := 0; k < ns; k++ {
 				if active {
@@ -551,7 +497,7 @@ func (c *Config) ExecInto(s *ExecScratch, fields, states []uint64) {
 		// Output muxes, written back into the container vector in place
 		// (safe: dest and sfOut snapshots already hold this stage's reads).
 		for j := 0; j < g.Width; j++ {
-			if sel := SelIdx(w, c.Values.OMux[i][j], g.Width+1); sel < g.Width {
+			if sel := w.SelIdx(c.Values.OMux[i][j], g.Width+1); sel < g.Width {
 				cur[j] = s.sfOut[sel]
 			} else {
 				cur[j] = s.dest[j]

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/alu"
 	"repro/internal/arith"
+	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/word"
 )
@@ -358,20 +359,27 @@ func TestExecDoesNotMutateInputs(t *testing.T) {
 	}
 }
 
-// TestExecIntoMatchesExec pins the allocation-free concrete path to the
-// generic Datapath across every stateful ALU template, canonical and
-// indicator field allocation, and word widths both wider and narrower than
-// the control holes (narrow widths exercise the truncating mux-selector
-// aliasing ExecInto must reproduce bit for bit).
-func TestExecIntoMatchesExec(t *testing.T) {
+// TestExecIntoMatchesDatapath pins the allocation-free concrete path to
+// the generic Datapath over uint64 (the independent reference: no shared
+// plumbing, only the shared ALU semantics) across every stateful ALU
+// template, canonical and indicator field allocation, and word widths both
+// wider and narrower than the control holes (narrow widths exercise the
+// truncating mux-selector aliasing ExecInto must reproduce bit for bit).
+// Inputs are swept exhaustively when the input space has at most 2^12
+// points, and sampled otherwise.
+func TestExecIntoMatchesDatapath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	allFields := []string{"a", "b", "c", "d"}
 	kinds := []alu.Kind{alu.Counter, alu.PredRaw, alu.IfElseRaw, alu.Sub, alu.NestedIfs, alu.Pair}
 	for _, kind := range kinds {
 		for _, ww := range []int{2, 3, 5, 8} {
+			w := word.Width(ww)
+			a := arith.Conc{W: w}
 			for trial := 0; trial < 25; trial++ {
-				g := testGrid(1+rng.Intn(3), 1+rng.Intn(3), kind)
-				g.WordWidth = word.Width(ww)
+				// Up to 4 containers, so the 3-bit output-mux selector
+				// outgrows the narrowest datapath widths.
+				g := testGrid(1+rng.Intn(3), 1+rng.Intn(4), kind)
+				g.WordWidth = w
 				nf := rng.Intn(min(len(allFields), g.Width) + 1)
 				fields := allFields[:nf]
 				states := make([]string, rng.Intn(g.StateSlots()+1))
@@ -391,53 +399,64 @@ func TestExecIntoMatchesExec(t *testing.T) {
 				if err := cfg.Validate(); err != nil {
 					t.Fatalf("%v/w%d: invalid fixture: %v", kind, ww, err)
 				}
-				scratch := cfg.NewScratch()
-				fv := make([]uint64, len(fields))
-				sv := make([]uint64, len(states))
-				for probe := 0; probe < 20; probe++ {
-					pkt := map[string]uint64{}
-					st := map[string]uint64{}
-					for i, f := range fields {
-						fv[i] = rng.Uint64()
-						pkt[f] = fv[i]
+				exec := cfg.NewExecutor()
+				got := make([]uint64, nf+len(states))
+				trunc := make([]uint64, len(got))
+				check := func(in []uint64) *string {
+					for i, v := range in {
+						trunc[i] = w.Trunc(v)
 					}
-					for i, s := range states {
-						sv[i] = rng.Uint64()
-						st[s] = sv[i]
-					}
-					outPkt, outSt := cfg.Exec(pkt, st)
-					cfg.ExecInto(scratch, fv, sv)
-					for i, f := range fields {
-						if fv[i] != outPkt[f] {
-							t.Fatalf("%v/w%d trial %d: field %s: ExecInto=%d Exec=%d\n%s",
-								kind, ww, trial, f, fv[i], outPkt[f], cfg)
+					wantF, wantS := Datapath[uint64](a, g, cfg.Values, trunc[:nf], trunc[nf:])
+					copy(got, in)
+					exec(got[:nf], got[nf:])
+					want := append(append([]uint64{}, wantF...), wantS...)
+					for i := range got {
+						if got[i] != want[i] {
+							msg := fmt.Sprintf("%v/w%d trial %d input %v: output %d: ExecInto=%d Datapath=%d\n%s",
+								kind, ww, trial, in, i, got[i], want[i], cfg)
+							return &msg
 						}
 					}
-					for i, s := range states {
-						if sv[i] != outSt[s] {
-							t.Fatalf("%v/w%d trial %d: state %s: ExecInto=%d Exec=%d\n%s",
-								kind, ww, trial, s, sv[i], outSt[s], cfg)
-						}
-					}
+					return nil
+				}
+				var msg *string
+				if n := len(got); ww*n <= 12 {
+					msg = backend.Sweep(w, n, check)
+				} else {
+					// Raw draws: ExecInto must truncate its inputs.
+					msg = backend.Probe(word.Width(32), n, rng, 20, check)
+				}
+				if msg != nil {
+					t.Fatal(*msg)
 				}
 			}
 		}
 	}
 }
 
-// TestExecIntoDoesNotAllocate is the contract the hot loops depend on.
+// TestExecIntoDoesNotAllocate is the contract the hot loops depend on,
+// for every stateful ALU template.
 func TestExecIntoDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := testGrid(3, 2, alu.Pair)
-	cfg := randomConfig(rng, g, []string{"a", "b"}, []string{"s0", "s1", "s2"})
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	scratch := cfg.NewScratch()
-	fv := []uint64{5, 9}
-	sv := []uint64{1, 2, 3}
-	allocs := testing.AllocsPerRun(200, func() { cfg.ExecInto(scratch, fv, sv) })
-	if allocs != 0 {
-		t.Fatalf("ExecInto allocates %.1f objects per packet, want 0", allocs)
+	kinds := []alu.Kind{alu.Counter, alu.PredRaw, alu.IfElseRaw, alu.Sub, alu.NestedIfs, alu.Pair}
+	for _, kind := range kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			g := testGrid(3, 2, kind)
+			states := make([]string, g.StateSlots())
+			for i := range states {
+				states[i] = fmt.Sprintf("s%d", i)
+			}
+			cfg := randomConfig(rng, g, []string{"a", "b"}, states)
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			scratch := cfg.NewScratch()
+			fv := []uint64{5, 9}
+			sv := make([]uint64, len(states))
+			allocs := testing.AllocsPerRun(200, func() { cfg.ExecInto(scratch, fv, sv) })
+			if allocs != 0 {
+				t.Fatalf("ExecInto allocates %.1f objects per packet, want 0", allocs)
+			}
+		})
 	}
 }

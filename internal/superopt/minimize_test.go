@@ -47,7 +47,7 @@ func TestMinimizeBPFRemovesInstructions(t *testing.T) {
 	if err := min.Config.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d := difftest.CheckBPFConfigEquivalence(prog, min.Config, 1); d != nil {
+	if d := difftest.CheckConfigEquivalence(prog, min.Config, 1); d != nil {
 		t.Fatalf("%s\nminimized config:\n%s", d, min.Config)
 	}
 }

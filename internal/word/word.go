@@ -157,3 +157,33 @@ func Mux(sel, t, f uint64) uint64 {
 	}
 	return f
 }
+
+// SelIdx is the concrete meaning of arith.Select over n options: the
+// first index whose w-bit encoding equals sel's w-bit truncation wins,
+// else n-1. At widths at least as wide as the selector this is a plain
+// clamped index; at narrower widths it reproduces the chain's truncating
+// aliasing exactly.
+func (w Width) SelIdx(sel uint64, n int) int {
+	s := w.Trunc(sel)
+	for i := 0; i < n-1; i++ {
+		if s == w.Trunc(uint64(i)) {
+			return i
+		}
+	}
+	return n - 1
+}
+
+// Next advances v to the next vector of w-bit values in odometer order
+// (v[0] varies fastest) and reports false once it wraps back to all
+// zeros. Starting from all zeros, a loop over Next visits every vector
+// exactly once.
+func (w Width) Next(v []uint64) bool {
+	for i := range v {
+		v[i]++
+		if v[i] < w.Size() {
+			return true
+		}
+		v[i] = 0
+	}
+	return false
+}

@@ -140,3 +140,46 @@ func TestToIntFromIntRoundtrip(t *testing.T) {
 		}
 	}
 }
+
+func TestSelIdx(t *testing.T) {
+	cases := []struct {
+		w      Width
+		sel    uint64
+		n, idx int
+	}{
+		{4, 2, 5, 2},    // in range
+		{4, 9, 5, 4},    // out of range clamps to the last option
+		{2, 5, 5, 1},    // 5 truncates to 1 at width 2
+		{2, 4, 5, 0},    // 4 aliases option 0, not the fallback
+		{1, 1, 3, 1},    // width 1: option 2 is reachable only as a fallback
+		{3, 0, 1, 0},    // a single option always wins
+		{5, 23, 24, 23}, // the last option by its own encoding
+	}
+	for _, c := range cases {
+		if got := c.w.SelIdx(c.sel, c.n); got != c.idx {
+			t.Errorf("Width(%d).SelIdx(%d, %d) = %d, want %d", c.w, c.sel, c.n, got, c.idx)
+		}
+	}
+}
+
+func TestNextVisitsEveryVectorOnce(t *testing.T) {
+	w := Width(2)
+	v := make([]uint64, 3)
+	seen := map[[3]uint64]bool{}
+	for {
+		k := [3]uint64{v[0], v[1], v[2]}
+		if seen[k] {
+			t.Fatalf("vector %v visited twice", k)
+		}
+		seen[k] = true
+		if !w.Next(v) {
+			break
+		}
+	}
+	if len(seen) != 64 {
+		t.Fatalf("visited %d vectors, want 64", len(seen))
+	}
+	if w.Next(nil) {
+		t.Fatal("the empty vector has no successor")
+	}
+}

@@ -159,9 +159,10 @@ func Figure5(outcomes []MutantOutcome) string {
 // --- Observability ----------------------------------------------------------
 
 // Tracer collects a hierarchical span trace of the synthesis pipeline
-// (compile → attempt → CEGIS iteration → phase → SAT solve). Install one
-// into the context passed to Compile with WithTracer, then export with
-// StreamTo (JSONL) or Summary (indented tree).
+// (compile → attempt → CEGIS iteration → phase → SAT solve, plus
+// sat.progress notes inside long solves). Install one into the context
+// passed to Compile with WithTracer, then export with WriteJSONL (JSONL)
+// or Summary (indented tree), or watch it live with Subscribe.
 type Tracer = obs.Tracer
 
 // Metrics is a registry of named counters, gauges and histograms the

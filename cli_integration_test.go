@@ -367,6 +367,47 @@ func TestCLIChipmunkTraceAndStats(t *testing.T) {
 	}
 }
 
+// TestCLIChipmunkTraceOutWriteFailure: a trace that cannot be written
+// fails the run instead of being dropped silently.
+func TestCLIChipmunkTraceOutWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	bin := buildTool(t, "chipmunk")
+	out, err := exec.Command(bin, "-width", "2", "-alu", "if_else_raw",
+		"-trace-out", "/dev/full", samplingPath(t)).CombinedOutput()
+	if err == nil {
+		t.Fatalf("chipmunk -trace-out /dev/full exited 0:\n%s", out)
+	}
+	if !strings.Contains(string(out), "writing trace") {
+		t.Errorf("error output does not name the trace write:\n%s", out)
+	}
+}
+
+// TestCLIChipmunkVerbose: -v prints the compile's spans as they end,
+// through the renderer -watch uses, and portfolio attempts carry their
+// member label.
+func TestCLIChipmunkVerbose(t *testing.T) {
+	bin := buildTool(t, "chipmunk")
+	out, err := exec.Command(bin, "-v", samplingPath(t)).CombinedOutput()
+	if err != nil {
+		t.Fatalf("chipmunk -v failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "< verify conflicts=") || !strings.Contains(string(out), "outcome=unsat") {
+		t.Errorf("-v output lacks a verify span end with outcome=unsat:\n%s", out)
+	}
+	if strings.Contains(string(out), "sat.solve") {
+		t.Errorf("-v output should elide sat.solve spans:\n%s", out)
+	}
+	out, err = exec.Command(bin, "-v", "-parallel", "2", "-seed-fanout", "2", samplingPath(t)).CombinedOutput()
+	if err != nil {
+		t.Fatalf("chipmunk -v -parallel 2 failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "> attempt member=") {
+		t.Errorf("-v -parallel output lacks attempt lines with member=:\n%s", out)
+	}
+}
+
 // TestCLIEvalgenEffortColumns checks the new effort CSV columns, the
 // Table 2 effort footer, -stats and -trace-dir.
 func TestCLIEvalgenEffortColumns(t *testing.T) {

@@ -41,12 +41,10 @@ import (
 
 	"repro/internal/alu"
 	"repro/internal/bpf"
-	"repro/internal/cegis"
 	"repro/internal/core"
 	"repro/internal/emit"
 	"repro/internal/obs"
 	"repro/internal/parser"
-	"repro/internal/sat"
 	"repro/internal/server"
 	"repro/internal/solcache"
 	"repro/internal/word"
@@ -80,7 +78,7 @@ func run() error {
 		raceAllocs  = flag.Bool("race-allocs", false, "also race the opposite field-allocation mode in portfolio mode")
 		asJSON      = flag.Bool("json", false, "emit the configuration as JSON")
 		emitLang    = flag.String("emit", "", "translate the configuration to low-level code: \"go\" or \"p4\" (pisa), \"bpfc\" (bpf)")
-		verbose     = flag.Bool("v", false, "trace CEGIS phases")
+		verbose     = flag.Bool("v", false, "print the compile's spans and SAT progress notes to stderr as they happen")
 		traceOut    = flag.String("trace-out", "", "write a JSONL span trace of the synthesis run to this file")
 		stats       = flag.Bool("stats", false, "print solver metrics and a span summary tree to stderr")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
@@ -161,24 +159,20 @@ func run() error {
 		cache = solcache.New(0, solcache.WithPersistPath(*cachePath))
 		opts.Cache = cache
 	}
-	if *verbose {
-		opts.Trace = func(e cegis.Event) {
-			fmt.Fprintf(os.Stderr, "  iter %2d %-6s %-7s %d conflicts %v\n",
-				e.Iter, e.Phase, e.Outcome, e.Conflicts(), e.Elapsed.Round(time.Millisecond))
-		}
-		opts.Progress = func(phase string, st sat.Stats) {
-			fmt.Fprintf(os.Stderr, "  ... %s solving: %d conflicts, %d decisions\n",
-				phase, st.Conflicts, st.Decisions)
-		}
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
 	var tracer *obs.Tracer
-	if *traceOut != "" || *stats {
+	if *verbose || *traceOut != "" || *stats {
 		tracer = obs.NewTracer()
 		ctx = obs.ContextWithTracer(ctx, tracer)
+	}
+	if *verbose {
+		spanNames := map[int64]string{}
+		tracer.Subscribe(func(rec obs.Record) {
+			renderEvent(spanNames, rec.Type, rec.Name, rec.ID, rec.Attrs)
+		}, false)
 	}
 	var reg *obs.Registry
 	if *stats || *pprofAddr != "" {
@@ -201,14 +195,9 @@ func run() error {
 			fmt.Fprintln(os.Stderr, "chipmunk: saving cache:", serr)
 		}
 	}
-	if tracer != nil && *traceOut != "" {
-		f, ferr := os.Create(*traceOut)
-		if ferr != nil {
-			return ferr
-		}
-		tracer.StreamTo(f)
-		if cerr := f.Close(); cerr != nil {
-			return cerr
+	if *traceOut != "" {
+		if terr := writeTrace(tracer, *traceOut); terr != nil {
+			return terr
 		}
 	}
 	if *stats {
@@ -310,7 +299,14 @@ func runRemote(base string, req server.CompileRequest, timeout time.Duration, as
 		fmt.Fprintf(os.Stderr, "watching remote job %s (%s)\n", st.ID, st.State)
 		spanNames := map[int64]string{}
 		st, err = client.Watch(ctx, st.ID, func(ev server.JobEvent) {
-			renderWatchEvent(spanNames, ev)
+			if ev.Dropped > 0 {
+				fmt.Fprintf(os.Stderr, "  (%d events dropped by backpressure)\n", ev.Dropped)
+			}
+			if ev.Type == "done" {
+				renderEvent(spanNames, "state", ev.Status.State, 0, nil)
+				return
+			}
+			renderEvent(spanNames, ev.Type, ev.Name, ev.Span, ev.Attrs)
 		})
 	} else {
 		st, err = client.Compile(ctx, req)
@@ -346,39 +342,51 @@ func runRemote(base string, req server.CompileRequest, timeout time.Duration, as
 	return nil
 }
 
-// renderWatchEvent prints one SSE progress event. Span end records carry
-// no name (only the span id), so starts register the id → name mapping
-// that ends consume. SAT-solve spans are elided as too chatty for a
-// terminal; their effort still arrives via sat.progress notes.
-func renderWatchEvent(spanNames map[int64]string, ev server.JobEvent) {
-	if ev.Dropped > 0 {
-		fmt.Fprintf(os.Stderr, "  (%d events dropped by backpressure)\n", ev.Dropped)
-	}
-	switch ev.Type {
+// renderEvent prints one progress event of a compile to stderr. It
+// renders both sources the CLI watches: the local tracer's records under
+// -v (types "start", "end", "note") and a daemon job's SSE events under
+// -remote -watch ("span_start", "span_end", "note", "state"). Span end
+// records carry no name (only the span id), so starts register the
+// id → name mapping that ends consume. SAT-solve spans are elided as too
+// chatty for a terminal; long solves still report through their
+// sat.progress notes.
+func renderEvent(spanNames map[int64]string, typ, name string, span int64, attrs map[string]any) {
+	switch typ {
 	case "state":
-		fmt.Fprintf(os.Stderr, "  state: %s\n", ev.Name)
-	case "span_start":
-		spanNames[ev.Span] = ev.Name
-		if ev.Name == "sat.solve" {
+		fmt.Fprintf(os.Stderr, "  state: %s\n", name)
+	case obs.RecordStart, "span_start":
+		spanNames[span] = name
+		if name == "sat.solve" {
 			return
 		}
-		fmt.Fprintf(os.Stderr, "  > %s%s\n", ev.Name, attrSummary(ev.Attrs))
-	case "span_end":
-		name := spanNames[ev.Span]
-		delete(spanNames, ev.Span)
+		fmt.Fprintf(os.Stderr, "  > %s%s\n", name, attrSummary(attrs))
+	case obs.RecordEnd, "span_end":
+		name := spanNames[span]
+		delete(spanNames, span)
 		if name == "" || name == "sat.solve" {
 			return
 		}
-		fmt.Fprintf(os.Stderr, "  < %s%s\n", name, attrSummary(ev.Attrs))
-	case "note":
-		fmt.Fprintf(os.Stderr, "  … %s%s\n", ev.Name, attrSummary(ev.Attrs))
-	case "done":
-		fmt.Fprintf(os.Stderr, "  state: %s\n", ev.Status.State)
+		fmt.Fprintf(os.Stderr, "  < %s%s\n", name, attrSummary(attrs))
+	case obs.RecordNote:
+		fmt.Fprintf(os.Stderr, "  … %s%s\n", name, attrSummary(attrs))
 	}
 }
 
-// attrSummary renders event attributes deterministically for the watch
-// stream (JSON numbers arrive as float64; print integral values plainly).
+// writeTrace writes the tracer's records to a new JSONL file at path.
+func writeTrace(tr *obs.Tracer, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteJSONL(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing trace %s: %w", path, err)
+	}
+	return f.Close()
+}
+
+// attrSummary renders event attributes deterministically (SSE numbers
+// arrive as float64; print integral values plainly).
 func attrSummary(attrs map[string]any) string {
 	if len(attrs) == 0 {
 		return ""

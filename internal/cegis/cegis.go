@@ -78,20 +78,9 @@ type Options struct {
 	MaxIters int
 	// Seed drives the initial random test inputs.
 	Seed int64
-	// Trace, when non-nil, receives an event per phase transition; used by
-	// tests and the evaluation harness to report convergence behaviour.
-	// Events are derived from the span instrumentation (internal/obs):
-	// each phase span's outcome and solver-effort attributes are mirrored
-	// into an Event, so the callback keeps working unchanged alongside
-	// the structured trace.
-	Trace func(Event)
-	// Progress, when non-nil, is invoked from inside long SAT solves every
-	// few thousand conflicts with the phase name and a counter snapshot,
-	// so multi-minute solves (Table 2's worst cases) stay observable.
-	Progress func(phase string, st sat.Stats)
 	// Member labels the portfolio attempt this synthesis run belongs to
-	// (internal/portfolio). It is attached to iteration spans and trace
-	// events so concurrent attempts within one compile stay attributable,
+	// (internal/portfolio). It is attached to iteration spans so
+	// concurrent attempts within one compile stay attributable,
 	// and echoed on the Result so the winner can be reported. Empty
 	// outside portfolio mode.
 	Member string
@@ -124,35 +113,6 @@ func (o *Options) maxIters() int {
 	}
 	return o.MaxIters
 }
-
-// Event reports one CEGIS phase outcome for tracing.
-type Event struct {
-	Iter int
-	// Member is the portfolio attempt label this event belongs to (empty
-	// outside portfolio mode), so interleaved traces from racing attempts
-	// can be demultiplexed.
-	Member string
-	// Phase is "synth" or "verify".
-	Phase string
-	// Outcome is "sat", "unsat", or "timeout".
-	Outcome string
-	// Counterexample is set on verify/sat events.
-	Counterexample *interp.Snapshot
-	Elapsed        time.Duration
-	// SynthConflicts and VerifyConflicts carry the SAT conflicts this
-	// event's solve contributed — a per-phase delta (sat.StatsDelta), not
-	// the cumulative totals Result reports. The field matching Phase is
-	// set; the other is zero.
-	SynthConflicts  int64
-	VerifyConflicts int64
-	// Decisions and Propagations are this phase's solver-effort deltas.
-	Decisions    int64
-	Propagations int64
-}
-
-// Conflicts returns the phase's conflict delta regardless of which phase
-// the event reports.
-func (e Event) Conflicts() int64 { return e.SynthConflicts + e.VerifyConflicts }
 
 // Result is the outcome of a synthesis run.
 type Result struct {
@@ -198,18 +158,25 @@ type Result struct {
 // budgetChunk is how many SAT conflicts run between context checks.
 const budgetChunk = 2000
 
-// progressInterval is how many SAT conflicts run between Options.Progress
-// callbacks.
-const progressInterval = 5000
+// progressInterval is how many SAT conflicts run between sat.progress
+// notes. A variable so tests can lower it.
+var progressInterval int64 = 5000
 
-// solveTraced runs one budgeted solve inside a "sat.solve" span, wiring
-// the optional progress callback, and returns the per-solve effort delta.
-func solveTraced(ctx context.Context, s *sat.Solver, phase string, progress func(string, sat.Stats)) (st sat.Status, delta sat.Stats, timedOut bool) {
-	if progress != nil {
-		s.SetProgress(progressInterval, func(st sat.Stats) { progress(phase, st) })
+// solveTraced runs one budgeted solve inside a "sat.solve" span and
+// returns the per-solve effort delta. When ctx carries a tracer, every
+// progressInterval conflicts the solve also emits a "sat.progress" note
+// under its span, so multi-minute solves (Table 2's worst cases) stay
+// observable; without one, no progress hook is installed.
+func solveTraced(ctx context.Context, s *sat.Solver, phase string) (st sat.Status, delta sat.Stats, timedOut bool) {
+	solveCtx, span := obs.StartSpan(ctx, "sat.solve")
+	if span != nil {
+		s.SetProgress(progressInterval, func(now sat.Stats) {
+			obs.Note(solveCtx, "sat.progress", obs.String("phase", phase),
+				obs.Int64("conflicts", now.Conflicts), obs.Int64("decisions", now.Decisions),
+				obs.Int64("restarts", now.Restarts))
+		})
 		defer s.SetProgress(0, nil)
 	}
-	_, span := obs.StartSpan(ctx, "sat.solve")
 	st, timedOut = solveWithContext(ctx, s)
 	delta = s.StatsDelta()
 	span.End(
@@ -390,12 +357,6 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 	}
 
 	ws := newVerifier()
-	trace := func(ev Event) {
-		if opts.Trace != nil {
-			ev.Member = opts.Member
-			opts.Trace(ev)
-		}
-	}
 
 	for iter := 1; iter <= opts.maxIters(); iter++ {
 		res.Iters = iter
@@ -407,9 +368,8 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 		iterCtx, iterSpan := obs.StartSpan(ctx, "cegis.iter", iterAttrs...)
 
 		// --- Synthesis phase (Equation 2) ---
-		phaseStart := time.Now()
 		synthCtx, synthSpan := obs.StartSpan(iterCtx, "synth", obs.Int("tests", res.Tests))
-		st, sd, timedOut := solveTraced(synthCtx, synthSolver, "synth", opts.Progress)
+		st, sd, timedOut := solveTraced(synthCtx, synthSolver, "synth")
 		publishSolve(reg, sd)
 		reg.Gauge("circuit.gates").SetMax(int64(b.NumGates()))
 		res.SynthConflicts = synthSolver.Stats().Conflicts
@@ -426,8 +386,6 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 			outcome = "unsat"
 		}
 		synthSpan.End(obs.String("outcome", outcome), obs.Int64("conflicts", sd.Conflicts))
-		trace(Event{Iter: iter, Phase: "synth", Outcome: outcome, Elapsed: time.Since(phaseStart),
-			SynthConflicts: sd.Conflicts, Decisions: sd.Decisions, Propagations: sd.Propagations})
 		if timedOut {
 			iterSpan.End(obs.String("outcome", "timeout"))
 			res.TimedOut = true
@@ -444,9 +402,8 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 		cfg := sk.Extract(synthCNF, fields, states, vw)
 
 		// --- Verification phase (Equation 3) ---
-		phaseStart = time.Now()
 		verifyCtx, verifySpan := obs.StartSpan(iterCtx, "verify")
-		vo := ws.verify(verifyCtx, prog, cfg, fields, states, vw, opts.Progress)
+		vo := ws.verify(verifyCtx, prog, cfg, fields, states, vw)
 		publishSolve(reg, vo.stats)
 		reg.Gauge("circuit.gates").SetMax(int64(vo.gates))
 		res.VerifyConflicts += vo.stats.Conflicts
@@ -463,12 +420,6 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 			outcome = "unsat"
 		}
 		verifySpan.End(obs.String("outcome", outcome), obs.Int64("conflicts", vo.stats.Conflicts))
-		ev := Event{Iter: iter, Phase: "verify", Outcome: outcome, Elapsed: time.Since(phaseStart),
-			VerifyConflicts: vo.stats.Conflicts, Decisions: vo.stats.Decisions, Propagations: vo.stats.Propagations}
-		if outcome == "sat" {
-			ev.Counterexample = &vo.cex
-		}
-		trace(ev)
 		if vo.timedOut {
 			iterSpan.End(obs.String("outcome", "timeout"))
 			res.TimedOut = true
@@ -529,7 +480,7 @@ func newVerifier() *verifier {
 // verify searches for an input on which the configured machine and the
 // specification disagree at width w. It returns the counterexample if one
 // exists.
-func (v *verifier) verify(ctx context.Context, prog *ast.Program, cfg backend.Config, fields, states []string, w word.Width, progress func(string, sat.Stats)) verifyOutcome {
+func (v *verifier) verify(ctx context.Context, prog *ast.Program, cfg backend.Config, fields, states []string, w word.Width) verifyOutcome {
 	v.b.Reset()
 	v.s.Reset()
 	v.cnf.Reset()
@@ -575,7 +526,7 @@ func (v *verifier) verify(ctx context.Context, prog *ast.Program, cfg backend.Co
 		solver.SetStop(fn)
 	}
 	cnf.AssertNot(equal)
-	st, delta, timedOut := solveTraced(ctx, solver, "verify", progress)
+	st, delta, timedOut := solveTraced(ctx, solver, "verify")
 	out := verifyOutcome{stats: delta, gates: b.NumGates(), clauses: cnf.NumClauses()}
 	if timedOut {
 		out.timedOut = true

@@ -38,6 +38,58 @@ func synth(t *testing.T, src string, g pisa.GridSpec, opts Options) *Result {
 	return res
 }
 
+// tracedSynth is synth with a tracer installed; it also returns the
+// well-formed record stream.
+func tracedSynth(t *testing.T, src string, g pisa.GridSpec, opts Options) (*Result, []obs.Record) {
+	t.Helper()
+	tr := obs.NewTracer()
+	prog := parser.MustParse("test", src)
+	res, err := Synthesize(obs.ContextWithTracer(context.Background(), tr), prog, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := tr.Records()
+	if err := obs.CheckWellFormed(recs); err != nil {
+		t.Fatal(err)
+	}
+	return res, recs
+}
+
+// spanEnd is one ended span of a record stream: its start record and
+// its end attributes.
+type spanEnd struct {
+	start obs.Record
+	attrs map[string]any
+}
+
+// spanEnds lists the stream's ended spans in end order, and indexes
+// every start record by id.
+func spanEnds(recs []obs.Record) ([]spanEnd, map[int64]obs.Record) {
+	starts := map[int64]obs.Record{}
+	var ends []spanEnd
+	for _, r := range recs {
+		switch r.Type {
+		case obs.RecordStart:
+			starts[r.ID] = r
+		case obs.RecordEnd:
+			ends = append(ends, spanEnd{starts[r.ID], r.Attrs})
+		}
+	}
+	return ends, starts
+}
+
+// phaseEnds keeps the synth and verify span ends.
+func phaseEnds(recs []obs.Record) []spanEnd {
+	ends, _ := spanEnds(recs)
+	var out []spanEnd
+	for _, e := range ends {
+		if e.start.Name == "synth" || e.start.Name == "verify" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestStatelessIncrement(t *testing.T) {
 	res := synth(t, "pkt.a = pkt.a + 1;", grid(1, 1, alu.Counter, 4), Options{Seed: 1})
 	if !res.Feasible {
@@ -149,11 +201,9 @@ else { count = count + 1; pkt.sample = 0; }
 // convergence (the §3.1 outer loop).
 func TestCounterexampleLoopConverges(t *testing.T) {
 	src := "pkt.hit = pkt.a == 20;"
-	var events []Event
-	res := synth(t, src, grid(1, 2, alu.Counter, 5), Options{
+	res, recs := tracedSynth(t, src, grid(1, 2, alu.Counter, 5), Options{
 		Seed:       5,
 		SynthWidth: 4, // 20 wraps to 4 at this width: ambiguous constants
-		Trace:      func(e Event) { events = append(events, e) },
 	})
 	if !res.Feasible {
 		t.Fatal("equality test should be feasible")
@@ -168,12 +218,9 @@ func TestCounterexampleLoopConverges(t *testing.T) {
 	}
 	// The trace must show at least one verify-phase counterexample.
 	cexs := 0
-	for _, e := range events {
-		if e.Phase == "verify" && e.Outcome == "sat" {
+	for _, e := range phaseEnds(recs) {
+		if e.start.Name == "verify" && e.attrs["outcome"] == "sat" {
 			cexs++
-			if e.Counterexample == nil {
-				t.Fatal("verify/sat event missing counterexample")
-			}
 		}
 	}
 	if cexs == 0 {
@@ -405,26 +452,28 @@ func TestStateCapacityPrecheck(t *testing.T) {
 	}
 }
 
+// TestTraceEventsWellFormed: every synth/verify phase span sits inside a
+// cegis.iter span with a positive iteration, carries an outcome, and the
+// last phase to end is the verify that proved the candidate (unsat).
 func TestTraceEventsWellFormed(t *testing.T) {
-	var events []Event
-	synth(t, "pkt.a = pkt.a + 1;", grid(1, 1, alu.Counter, 4), Options{
-		Seed:  1,
-		Trace: func(e Event) { events = append(events, e) },
-	})
-	if len(events) < 2 {
-		t.Fatalf("expected synth+verify events, got %d", len(events))
+	_, recs := tracedSynth(t, "pkt.a = pkt.a + 1;", grid(1, 1, alu.Counter, 4), Options{Seed: 1})
+	_, starts := spanEnds(recs)
+	phases := phaseEnds(recs)
+	if len(phases) < 2 {
+		t.Fatalf("expected synth+verify phase spans, got %d", len(phases))
 	}
-	for i, e := range events {
-		if e.Phase != "synth" && e.Phase != "verify" {
-			t.Fatalf("event %d has phase %q", i, e.Phase)
+	for i, e := range phases {
+		iter := starts[e.start.Parent]
+		if iter.Name != "cegis.iter" || iter.Attrs["iter"].(int64) < 1 {
+			t.Fatalf("phase %d (%s) sits under %+v", i, e.start.Name, iter)
 		}
-		if e.Iter < 1 {
-			t.Fatalf("event %d has iter %d", i, e.Iter)
+		if e.attrs["outcome"] == nil {
+			t.Fatalf("phase %d (%s) ended without an outcome", i, e.start.Name)
 		}
 	}
-	last := events[len(events)-1]
-	if last.Phase != "verify" || last.Outcome != "unsat" {
-		t.Fatalf("final event should be verify/unsat, got %s/%s", last.Phase, last.Outcome)
+	last := phases[len(phases)-1]
+	if last.start.Name != "verify" || last.attrs["outcome"] != "unsat" {
+		t.Fatalf("final phase should be verify/unsat, got %s/%v", last.start.Name, last.attrs["outcome"])
 	}
 }
 
@@ -506,25 +555,21 @@ func TestUnknownExpressionTypeErrors(t *testing.T) {
 }
 
 // TestObservabilityAgreement runs one synthesis with every telemetry sink
-// attached and checks the three views agree: Trace event deltas sum to the
-// Result's cumulative totals, the metrics registry's counters match the
-// same sums, and the span trace is well-formed with the documented
-// hierarchy.
+// attached and checks the three views agree: the sat.solve span deltas
+// under the synth and verify phases sum to the Result's cumulative
+// totals, the metrics registry's counters match the same sums, and the
+// span trace is well-formed with the documented hierarchy.
 func TestObservabilityAgreement(t *testing.T) {
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
 	ctx := obs.ContextWithMetrics(obs.ContextWithTracer(context.Background(), tr), reg)
 
-	var events []Event
 	prog := parser.MustParse("test", `
 int count = 0;
 if (count == 10) { count = 0; pkt.sample = 1; }
 else { count = count + 1; pkt.sample = 0; }
 `)
-	res, err := Synthesize(ctx, prog, grid(1, 2, alu.IfElseRaw, 4), Options{
-		Seed:  7,
-		Trace: func(e Event) { events = append(events, e) },
-	})
+	res, err := Synthesize(ctx, prog, grid(1, 2, alu.IfElseRaw, 4), Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,25 +577,30 @@ else { count = count + 1; pkt.sample = 0; }
 		t.Fatal("program should be feasible")
 	}
 
-	var evSynth, evVerify, evDecisions, evPropagations int64
-	for _, e := range events {
-		evSynth += e.SynthConflicts
-		evVerify += e.VerifyConflicts
-		evDecisions += e.Decisions
-		evPropagations += e.Propagations
-		if e.Conflicts() != e.SynthConflicts+e.VerifyConflicts {
-			t.Fatalf("Conflicts() inconsistent: %+v", e)
+	ends, starts := spanEnds(tr.Records())
+	conflicts := map[string]int64{}
+	var decisions, propagations int64
+	for _, e := range ends {
+		if e.start.Name != "sat.solve" {
+			continue
 		}
+		phase := starts[e.start.Parent].Name
+		conflicts[phase] += e.attrs["conflicts"].(int64)
+		decisions += e.attrs["decisions"].(int64)
+		propagations += e.attrs["propagations"].(int64)
 	}
-	if evSynth != res.SynthConflicts {
-		t.Fatalf("event synth conflict deltas sum to %d, Result says %d", evSynth, res.SynthConflicts)
+	if len(conflicts) != 2 {
+		t.Fatalf("sat.solve spans sit under phases %v, want synth and verify", conflicts)
 	}
-	if evVerify != res.VerifyConflicts {
-		t.Fatalf("event verify conflict deltas sum to %d, Result says %d", evVerify, res.VerifyConflicts)
+	if conflicts["synth"] != res.SynthConflicts {
+		t.Fatalf("synth sat.solve conflicts sum to %d, Result says %d", conflicts["synth"], res.SynthConflicts)
 	}
-	if evDecisions != res.Decisions || evPropagations != res.Propagations {
-		t.Fatalf("event effort (%d dec, %d prop) != Result (%d, %d)",
-			evDecisions, evPropagations, res.Decisions, res.Propagations)
+	if conflicts["verify"] != res.VerifyConflicts {
+		t.Fatalf("verify sat.solve conflicts sum to %d, Result says %d", conflicts["verify"], res.VerifyConflicts)
+	}
+	if decisions != res.Decisions || propagations != res.Propagations {
+		t.Fatalf("sat.solve effort (%d dec, %d prop) != Result (%d, %d)",
+			decisions, propagations, res.Decisions, res.Propagations)
 	}
 
 	// Registry counters are built from the same per-solve deltas.
@@ -598,20 +648,57 @@ else { count = count + 1; pkt.sample = 0; }
 	}
 }
 
-func TestProgressCallbackDuringSynthesis(t *testing.T) {
-	// A harder program reliably exceeds one progress interval only with a
-	// tiny interval; the exported knob is fixed, so just check the wiring
-	// does not fire for trivial solves and never reports a phase outside
-	// the two CEGIS phases.
-	phases := map[string]bool{}
-	synth(t, "pkt.a = pkt.a + 1;", grid(1, 1, alu.Counter, 4), Options{
-		Seed:     1,
-		Progress: func(phase string, st sat.Stats) { phases[phase] = true },
-	})
-	for p := range phases {
-		if p != "synth" && p != "verify" {
-			t.Fatalf("unexpected progress phase %q", p)
+// TestSATProgressNotes lowers the progress interval so every solve with
+// a conflict reports, then checks that sat.progress notes hang under
+// sat.solve spans, name the phase that encloses them, and carry the
+// counter keys the daemon's SSE feed and chipmunk -v print, in both
+// phases.
+func TestSATProgressNotes(t *testing.T) {
+	defer func(old int64) { progressInterval = old }(progressInterval)
+	progressInterval = 1
+
+	_, recs := tracedSynth(t, `
+int count = 0;
+if (count == 10) { count = 0; pkt.sample = 1; }
+else { count = count + 1; pkt.sample = 0; }
+`, grid(1, 2, alu.IfElseRaw, 4), Options{Seed: 7})
+	_, starts := spanEnds(recs)
+	seen := map[string]int{}
+	for _, r := range recs {
+		if r.Type != obs.RecordNote {
+			continue
 		}
+		solve := starts[r.Parent]
+		if r.Name != "sat.progress" || solve.Name != "sat.solve" {
+			t.Fatalf("note %q sits under %q, want sat.progress under sat.solve", r.Name, solve.Name)
+		}
+		phase := starts[solve.Parent].Name
+		if r.Attrs["phase"] != phase {
+			t.Fatalf("note says phase %v inside a %s span", r.Attrs["phase"], phase)
+		}
+		for _, k := range []string{"conflicts", "decisions", "restarts"} {
+			if _, ok := r.Attrs[k].(int64); !ok {
+				t.Fatalf("note attrs %v lack %s", r.Attrs, k)
+			}
+		}
+		seen[phase]++
+	}
+	if seen["synth"] == 0 || seen["verify"] == 0 {
+		t.Fatalf("sat.progress notes per phase = %v, want both synth and verify", seen)
+	}
+}
+
+// TestProgressNotesDoNotChangeSearch: a traced run reporting progress at
+// every conflict reaches the untraced run's result with the same effort.
+func TestProgressNotesDoNotChangeSearch(t *testing.T) {
+	defer func(old int64) { progressInterval = old }(progressInterval)
+	progressInterval = 1
+	src := "pkt.hit = pkt.a == 20;"
+	plain := synth(t, src, grid(1, 2, alu.Counter, 5), Options{Seed: 5})
+	traced, _ := tracedSynth(t, src, grid(1, 2, alu.Counter, 5), Options{Seed: 5})
+	if plain.Iters != traced.Iters || plain.SynthConflicts != traced.SynthConflicts ||
+		plain.VerifyConflicts != traced.VerifyConflicts || plain.Decisions != traced.Decisions {
+		t.Fatalf("traced run diverged: %+v vs %+v", plain, traced)
 	}
 }
 

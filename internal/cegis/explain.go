@@ -245,7 +245,7 @@ func explainOn(ctx context.Context, prog *ast.Program, be backend.Backend, size 
 
 		cfg := sk.Extract(cnf, fields, states, vw)
 		phaseStart = time.Now()
-		vo := ws.verify(ctx, prog, cfg, fields, states, vw, opts.Progress)
+		vo := ws.verify(ctx, prog, cfg, fields, states, vw)
 		switch {
 		case vo.timedOut:
 			step(iter, "verify", "timeout", vo.stats.Conflicts, phaseStart)

@@ -35,7 +35,6 @@ import (
 	"repro/internal/perfhist"
 	"repro/internal/pisa"
 	"repro/internal/portfolio"
-	"repro/internal/sat"
 	"repro/internal/sketch"
 	"repro/internal/solcache"
 	"repro/internal/word"
@@ -100,13 +99,6 @@ type Options struct {
 	// RaceAllocs additionally races the opposite field-allocation mode
 	// (canonical vs indicator) for every portfolio member.
 	RaceAllocs bool
-	// Trace receives CEGIS events, if non-nil. In portfolio mode events
-	// from racing members arrive concurrently (distinguished by
-	// Event.Member); the callback must be safe for concurrent use.
-	Trace func(cegis.Event)
-	// Progress receives solver counter snapshots from inside long SAT
-	// solves (see cegis.Options.Progress), if non-nil.
-	Progress func(phase string, st sat.Stats)
 	// Cache, when non-nil, memoizes compilation outcomes by canonical
 	// problem fingerprint (internal/solcache). Warm hits return the stored
 	// configuration without invoking CEGIS; concurrent compilations of the
@@ -505,8 +497,6 @@ func search(ctx context.Context, prog *ast.Program, opts Options, rep *Report) e
 		VerifyWidth:    opts.VerifyWidth,
 		IndicatorAlloc: opts.IndicatorAlloc,
 		Seed:           opts.Seed,
-		Trace:          opts.Trace,
-		Progress:       opts.Progress,
 	}
 
 	lo := 1
@@ -607,8 +597,6 @@ func searchPortfolio(ctx context.Context, prog *ast.Program, opts Options, rep *
 				VerifyWidth:    opts.VerifyWidth,
 				IndicatorAlloc: m.IndicatorAlloc,
 				Seed:           m.Seed,
-				Trace:          opts.Trace,
-				Progress:       opts.Progress,
 				Member:         m.Label,
 			}
 			dr, cres, err := attempt(mctx, prog, opts, m.Stages, copts)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/alu"
-	"repro/internal/cegis"
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/parser"
@@ -224,16 +223,23 @@ func TestCompiledConfigMatchesInterpreterExhaustively(t *testing.T) {
 	}
 }
 
+// TestTraceForwarded: the context's tracer reaches the CEGIS loop, so
+// the compile's trace holds its cegis.iter spans.
 func TestTraceForwarded(t *testing.T) {
 	b, _ := programs.ByName("sampling")
-	opts := benchOptions(b)
-	var events int
-	opts.Trace = func(cegis.Event) { events++ }
-	if _, err := Compile(context.Background(), b.Parse(), opts); err != nil {
+	tr := obs.NewTracer()
+	rep, err := Compile(obs.ContextWithTracer(context.Background(), tr), b.Parse(), benchOptions(b))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if events == 0 {
-		t.Fatal("trace hook should receive events")
+	iters := 0
+	for _, r := range tr.Records() {
+		if r.Type == obs.RecordStart && r.Name == "cegis.iter" {
+			iters++
+		}
+	}
+	if want := rep.Effort().Iters; iters == 0 || iters != want {
+		t.Fatalf("tracer holds %d cegis.iter spans, want %d (one per iteration)", iters, want)
 	}
 }
 

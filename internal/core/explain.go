@@ -132,7 +132,6 @@ func maybeExplain(ctx context.Context, prog *ast.Program, opts Options, rep *Rep
 		VerifyWidth:    opts.VerifyWidth,
 		IndicatorAlloc: opts.IndicatorAlloc,
 		Seed:           opts.Seed,
-		Progress:       opts.Progress,
 	})
 	if err != nil {
 		reg.Counter("explain.errors").Add(1)

@@ -11,6 +11,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -204,6 +205,7 @@ func Run(ctx context.Context, opts Options) ([]MutantOutcome, error) {
 	}
 
 	outcomes := make([]MutantOutcome, len(jobs))
+	traceErrs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, opts.parallel())
 	for i, j := range jobs {
@@ -215,14 +217,14 @@ func Run(ctx context.Context, opts Options) ([]MutantOutcome, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outcomes[i] = compileBoth(ctx, j.bench, j.mutant, j.index, opts)
+			outcomes[i], traceErrs[i] = compileBoth(ctx, j.bench, j.mutant, j.index, opts)
 		}(i, j)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return outcomes, err
 	}
-	return outcomes, nil
+	return outcomes, errors.Join(traceErrs...)
 }
 
 // programSeed derives a per-program offset for the mutation stream from an
@@ -237,8 +239,10 @@ func programSeed(name string) int64 {
 	return int64(h.Sum64() & (1<<62 - 1))
 }
 
-func compileBoth(ctx context.Context, b programs.Benchmark, m mutate.Mutant, idx int, opts Options) MutantOutcome {
-	out := MutantOutcome{Program: b.Name, Index: idx, Ops: m.Applied}
+// compileBoth compiles one mutant with both compilers. The error reports
+// only a failure to write the mutant's span trace (Options.TraceDir).
+func compileBoth(ctx context.Context, b programs.Benchmark, m mutate.Mutant, idx int, opts Options) (out MutantOutcome, traceErr error) {
+	out = MutantOutcome{Program: b.Name, Index: idx, Ops: m.Applied}
 
 	// Domino baseline.
 	dres, err := domino.Compile(m.Program, b.StatefulALU, b.ConstBits)
@@ -261,11 +265,7 @@ func compileBoth(ctx context.Context, b programs.Benchmark, m mutate.Mutant, idx
 		tr := obs.NewTracer()
 		cctx = obs.ContextWithTracer(cctx, tr)
 		defer func() {
-			path := filepath.Join(opts.TraceDir, fmt.Sprintf("%s_m%02d.jsonl", b.Name, idx))
-			if f, ferr := os.Create(path); ferr == nil {
-				tr.StreamTo(f)
-				f.Close()
-			}
+			traceErr = writeTrace(tr, filepath.Join(opts.TraceDir, fmt.Sprintf("%s_m%02d.jsonl", b.Name, idx)))
 		}()
 	}
 	rep, err := core.Compile(cctx, m.Program, core.Options{
@@ -324,7 +324,20 @@ func compileBoth(ctx context.Context, b programs.Benchmark, m mutate.Mutant, idx
 			}
 		}
 	}
-	return out
+	return out, nil
+}
+
+// writeTrace writes tr's records to a new JSONL file at path.
+func writeTrace(tr *obs.Tracer, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteJSONL(f); err != nil {
+		f.Close()
+		return fmt.Errorf("eval: writing %s: %w", path, err)
+	}
+	return f.Close()
 }
 
 // --- Table 2 -------------------------------------------------------------------

@@ -230,6 +230,24 @@ func TestUsageTypeIsShared(t *testing.T) {
 	_ = o
 }
 
+// TestTraceDirWriteErrorSurfaces: a trace that cannot be written makes
+// Run return an error naming it, while the outcomes are still filled in.
+func TestTraceDirWriteErrorSurfaces(t *testing.T) {
+	outcomes, err := Run(context.Background(), Options{
+		Mutants:  1,
+		Seed:     42,
+		Timeout:  2 * time.Minute,
+		Programs: []string{"sampling"},
+		TraceDir: filepath.Join(t.TempDir(), "missing"),
+	})
+	if err == nil || !strings.Contains(err.Error(), "sampling_m00.jsonl") {
+		t.Fatalf("Run err = %v, want the unwritable trace named", err)
+	}
+	if len(outcomes) != 1 || outcomes[0].Program != "sampling" {
+		t.Fatalf("outcomes = %+v", outcomes)
+	}
+}
+
 // TestEffortMetricsAndTraces runs a small parallel evaluation with a shared
 // registry and a trace directory, checking (a) per-mutant effort lands in
 // the outcomes and CSV, (b) the shared registry's conflict total equals the

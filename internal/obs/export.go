@@ -11,13 +11,15 @@ import (
 )
 
 // Record types. A span produces exactly two records: a start and an end.
+// A note (Note) is a single point record under a live span.
 const (
 	RecordStart = "start"
 	RecordEnd   = "end"
+	RecordNote  = "note"
 )
 
-// Record is one trace event in the JSON-lines export. Start records carry
-// the span name, parent id (0 for roots) and start-time attributes; end
+// Record is one trace event in the JSON-lines export. Start and note
+// records carry the name, parent id (0 for roots) and attributes; end
 // records carry the attributes accumulated over the span's life.
 type Record struct {
 	Type   string         `json:"type"`
@@ -28,47 +30,18 @@ type Record struct {
 	Attrs  map[string]any `json:"attrs,omitempty"`
 }
 
-// jsonlSink streams records to a writer as JSON lines, retaining the first
-// write error.
-type jsonlSink struct {
-	enc *json.Encoder
-	err error
-}
-
-func (s *jsonlSink) write(rec Record) {
-	if s.err != nil {
-		return
+// WriteJSONL writes every record emitted so far to w, one JSON object
+// per line, and returns the first write error. Live consumers use
+// Subscribe instead.
+func (t *Tracer) WriteJSONL(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, rec := range t.Records() {
+		if err := enc.Encode(rec); err != nil {
+			return err
+		}
 	}
-	s.err = s.enc.Encode(rec)
-}
-
-// StreamTo makes the tracer write each record to w as one JSON line, in
-// addition to retaining it in memory. Records emitted earlier are
-// replayed first so no span is lost, which makes mid-compile attachment
-// safe. The returned Subscription stops the stream when closed; callers
-// that stream for the tracer's whole life may ignore it.
-func (t *Tracer) StreamTo(w io.Writer) *Subscription {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sink := &jsonlSink{enc: json.NewEncoder(w)}
-	t.sink = sink
-	return t.subscribeLocked(sink.write, true)
-}
-
-// Err returns the first error encountered while streaming, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.sink == nil {
-		return nil
-	}
-	return t.sink.err
+	return bw.Flush()
 }
 
 // Records returns a copy of every record emitted so far.
@@ -81,7 +54,7 @@ func (t *Tracer) Records() []Record {
 	return append([]Record(nil), t.records...)
 }
 
-// ReadRecords decodes a JSON-lines trace (the StreamTo format). Note that
+// ReadRecords decodes a JSON-lines trace (the WriteJSONL format). Note that
 // JSON decoding widens integer attribute values to float64.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var out []Record
@@ -108,28 +81,34 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 
 // CheckWellFormed verifies the structural invariants of a span trace:
 // every end matches exactly one prior start, ids are unique, children
-// start inside a live parent and end before it, timestamps do not run
-// backwards within a span, and no span is left open at the end.
+// and notes start inside a live parent and children end before it,
+// timestamps do not run backwards within a span, and no span is left
+// open at the end.
 func CheckWellFormed(recs []Record) error {
 	started := map[int64]Record{}
 	ended := map[int64]bool{}
 	parentOf := map[int64]int64{}
+	notes := map[int64]bool{}
 	for i, rec := range recs {
-		switch rec.Type {
-		case RecordStart:
-			if _, dup := started[rec.ID]; dup {
-				return fmt.Errorf("obs: record %d: span %d started twice", i, rec.ID)
+		if rec.Type == RecordStart || rec.Type == RecordNote {
+			if _, dup := started[rec.ID]; dup || notes[rec.ID] {
+				return fmt.Errorf("obs: record %d: id %d started twice", i, rec.ID)
 			}
 			if rec.Parent != 0 {
 				if _, ok := started[rec.Parent]; !ok {
-					return fmt.Errorf("obs: record %d: span %d starts under unknown parent %d", i, rec.ID, rec.Parent)
+					return fmt.Errorf("obs: record %d: %s %d under unknown parent %d", i, rec.Type, rec.ID, rec.Parent)
 				}
 				if ended[rec.Parent] {
-					return fmt.Errorf("obs: record %d: span %d starts under already-ended parent %d", i, rec.ID, rec.Parent)
+					return fmt.Errorf("obs: record %d: %s %d under already-ended parent %d", i, rec.Type, rec.ID, rec.Parent)
 				}
 			}
+		}
+		switch rec.Type {
+		case RecordStart:
 			started[rec.ID] = rec
 			parentOf[rec.ID] = rec.Parent
+		case RecordNote:
+			notes[rec.ID] = true
 		case RecordEnd:
 			st, ok := started[rec.ID]
 			if !ok {
@@ -173,7 +152,8 @@ type summaryNode struct {
 func (t *Tracer) Summary() string { return SummarizeRecords(t.Records()) }
 
 // SummarizeRecords renders a span tree from raw records (e.g. a decoded
-// JSONL trace). Unended spans are annotated rather than dropped.
+// JSONL trace). Unended spans are annotated rather than dropped; notes
+// are left out.
 func SummarizeRecords(recs []Record) string {
 	nodes := map[int64]*summaryNode{}
 	var roots []*summaryNode

@@ -7,25 +7,26 @@ import (
 	"testing"
 )
 
-// TestJSONLRoundTrip streams a nested trace to a buffer, decodes it, and
-// checks the decoded records are structurally identical and well-formed.
+// TestJSONLRoundTrip writes a nested trace with a note to a buffer,
+// decodes it, and checks the decoded records are structurally identical
+// and well-formed.
 func TestJSONLRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	tr := NewTracer()
-	tr.StreamTo(&buf)
 	ctx := ContextWithTracer(context.Background(), tr)
 
 	ctx1, root := StartSpan(ctx, "compile", String("program", "sampling"), Int("width", 2))
 	for iter := 1; iter <= 3; iter++ {
 		c2, it := StartSpan(ctx1, "cegis.iter", Int("iter", iter))
-		_, synth := StartSpan(c2, "synth")
+		c3, synth := StartSpan(c2, "synth")
+		Note(c3, "sat.progress", String("phase", "synth"))
 		synth.End(String("outcome", "sat"), Int64("conflicts", int64(10*iter)))
 		_, verify := StartSpan(c2, "verify")
 		verify.End(String("outcome", "unsat"))
 		it.End()
 	}
 	root.End(Bool("feasible", true))
-	if err := tr.Err(); err != nil {
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,7 +48,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 		}
 	}
 	// Integer attrs decode as float64; values must survive.
-	if got := decoded[3].Attrs["conflicts"]; got != float64(10) {
+	if decoded[3].Type != RecordNote || decoded[3].Parent != decoded[2].ID {
+		t.Fatalf("record 3 = %+v, want a note under synth span %d", decoded[3], decoded[2].ID)
+	}
+	if got := decoded[4].Attrs["conflicts"]; got != float64(10) {
 		t.Fatalf("conflicts attr = %v (%T)", got, got)
 	}
 	// A decoded trace still renders as a tree.
@@ -55,20 +59,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if !strings.Contains(sum, "compile") || strings.Count(sum, "cegis.iter") != 3 {
 		t.Fatalf("summary of decoded trace:\n%s", sum)
 	}
-}
-
-func TestStreamToReplaysEarlierRecords(t *testing.T) {
-	tr := NewTracer()
-	s := tr.StartRoot("early")
-	s.End()
-	var buf bytes.Buffer
-	tr.StreamTo(&buf)
-	recs, err := ReadRecords(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0].Name != "early" {
-		t.Fatalf("replayed records = %+v", recs)
+	if strings.Contains(sum, "sat.progress") {
+		t.Fatalf("summary renders notes:\n%s", sum)
 	}
 }
 
@@ -110,6 +102,19 @@ func TestCheckWellFormedRejections(t *testing.T) {
 		{"never ended",
 			[]Record{{Type: RecordStart, ID: 1}},
 			"never ended"},
+		{"note under unknown parent",
+			[]Record{{Type: RecordNote, ID: 2, Parent: 9}},
+			"unknown parent"},
+		{"note under ended parent",
+			[]Record{
+				{Type: RecordStart, ID: 1},
+				{Type: RecordEnd, ID: 1},
+				{Type: RecordNote, ID: 2, Parent: 1},
+			},
+			"already-ended parent"},
+		{"note reuses a span id",
+			[]Record{{Type: RecordStart, ID: 1}, {Type: RecordNote, ID: 1, Parent: 1}},
+			"started twice"},
 		{"unknown type",
 			[]Record{{Type: "bogus", ID: 1}},
 			"unknown type"},

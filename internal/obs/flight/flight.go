@@ -5,13 +5,12 @@
 // The paper's CEGIS solve times are heavy-tailed (Table 2 spans seconds
 // to an hour), so the interesting jobs — the ones that time out or prove
 // infeasible — are exactly the ones whose trace nobody asked for in
-// advance. A Recorder
-// subscribes to a job's obs.Tracer and records every span start/end
-// (compile → attempt → cegis.iter → synth/verify → sat.solve), plus
-// ad-hoc Note events for in-solve milestones (SAT conflict progress,
-// portfolio member starts/cancels). The ring keeps only the last N
-// entries, so a multi-minute solve costs a fixed few KB of memory and
-// the dump always answers "what was the job doing when it died".
+// advance. A Recorder subscribes to a job's obs.Tracer and records every
+// span start/end (compile → attempt → cegis.iter → synth/verify →
+// sat.solve) and every note (sat.progress snapshots inside long solves).
+// The ring keeps only the last N entries, so a multi-minute solve costs
+// a fixed few KB of memory and the dump always answers "what was the job
+// doing when it died".
 package flight
 
 import (
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -27,10 +25,9 @@ import (
 // DefaultCapacity is the ring size used when New is given 0.
 const DefaultCapacity = 256
 
-// Entry is one flight-recorder event. Kinds "start" and "end" mirror
-// tracer records (Span carries the span id so a dump can be correlated
-// with a full JSONL trace); kind "note" is an ad-hoc milestone recorded
-// with Note.
+// Entry is one flight-recorder event, a copy of one tracer record: Kind
+// is the record type ("start", "end" or "note") and Span its id, so a
+// dump can be correlated with a full JSONL trace.
 type Entry struct {
 	// Seq is the entry's position in the recorder's full history,
 	// starting at 0; gaps at the front of a dump reveal how much the
@@ -73,8 +70,7 @@ func (r *Recorder) Attach(t *obs.Tracer) {
 	}
 	r.Close()
 	sub := t.Subscribe(func(rec obs.Record) {
-		kind := rec.Type
-		r.add(Entry{TimeNS: rec.TimeNS, Kind: kind, Name: rec.Name, Span: rec.ID, Attrs: rec.Attrs})
+		r.add(Entry{TimeNS: rec.TimeNS, Kind: rec.Type, Name: rec.Name, Span: rec.ID, Attrs: rec.Attrs})
 	}, true)
 	r.mu.Lock()
 	r.sub = sub
@@ -92,15 +88,6 @@ func (r *Recorder) Close() {
 	r.sub = nil
 	r.mu.Unlock()
 	sub.Close()
-}
-
-// Note records an ad-hoc milestone (e.g. an in-solve SAT progress
-// snapshot) alongside the subscribed tracer records.
-func (r *Recorder) Note(name string, attrs map[string]any) {
-	if r == nil {
-		return
-	}
-	r.add(Entry{TimeNS: time.Now().UnixNano(), Kind: "note", Name: name, Attrs: attrs})
 }
 
 func (r *Recorder) add(e Entry) {

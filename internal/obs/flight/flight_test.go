@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -12,9 +13,12 @@ import (
 // TestRingBounded: the recorder keeps exactly the last capacity entries
 // and reports how many it shed.
 func TestRingBounded(t *testing.T) {
+	tr := obs.NewTracer()
 	r := New(8)
+	r.Attach(tr)
+	ctx := obs.ContextWithTracer(context.Background(), tr)
 	for i := 0; i < 20; i++ {
-		r.Note("tick", map[string]any{"i": i})
+		obs.Note(ctx, "tick", obs.Int("i", i))
 	}
 	tail := r.Tail()
 	if len(tail) != 8 {
@@ -28,8 +32,8 @@ func TestRingBounded(t *testing.T) {
 			t.Errorf("tail[%d].Seq = %d, want %d (oldest-first order)", i, e.Seq, want)
 		}
 	}
-	if tail[7].Attrs["i"] != 19 {
-		t.Errorf("newest entry attrs = %v, want i=19", tail[7].Attrs)
+	if tail[7].Kind != "note" || tail[7].Attrs["i"] != int64(19) {
+		t.Errorf("newest entry = %+v, want note i=19", tail[7])
 	}
 }
 
@@ -99,7 +103,7 @@ func TestWriteJSONL(t *testing.T) {
 // TestNilRecorder: a nil recorder is a valid no-op sink.
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	r.Note("x", nil)
+	r.Attach(obs.NewTracer())
 	r.Close()
 	if r.Tail() != nil || r.Dropped() != 0 {
 		t.Error("nil recorder should report nothing")

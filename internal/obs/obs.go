@@ -15,7 +15,10 @@
 //     conflicts, decisions, propagations, CNF clause/variable counts,
 //     circuit gate counts, CEGIS iterations, counterexample widths, sketch
 //     hole inventories);
-//   - exporters: a JSON-lines trace stream, a human-readable summary tree,
+//   - point-in-time notes (Note) under the current span, for milestones
+//     inside one long span such as SAT progress during a multi-minute
+//     solve;
+//   - exporters: a JSON-lines trace dump, a human-readable summary tree,
 //     and an expvar-style snapshot map (see export.go).
 //
 // Everything is nil-safe: a nil *Tracer, *Registry, *Span, *Counter,
@@ -53,14 +56,13 @@ func Bool(k string, v bool) Attr { return Attr{k, v} }
 // Float builds a float attribute.
 func Float(k string, v float64) Attr { return Attr{k, v} }
 
-// Tracer records hierarchical spans. It retains every record in memory
-// (compilations emit at most a few thousand spans) for Summary and
-// Records, and fans each record out to live subscribers (Subscribe,
-// StreamTo) as it is emitted. Safe for concurrent use; a nil *Tracer
-// discards everything.
+// Tracer records hierarchical spans and notes. It retains every record
+// in memory (compilations emit at most a few thousand spans) for
+// Summary, Records and WriteJSONL, and fans each record out to live
+// subscribers (Subscribe) as it is emitted. Safe for concurrent use; a
+// nil *Tracer discards everything.
 type Tracer struct {
 	mu      sync.Mutex
-	sink    *jsonlSink
 	records []Record
 	nextID  int64
 	subs    map[int64]func(Record)
@@ -71,7 +73,7 @@ type Tracer struct {
 func NewTracer() *Tracer { return &Tracer{} }
 
 // Subscription is a handle to a live record feed registered with
-// Subscribe or StreamTo. Close detaches it; a nil *Subscription no-ops.
+// Subscribe. Close detaches it; a nil *Subscription no-ops.
 type Subscription struct {
 	t  *Tracer
 	id int64
@@ -90,10 +92,6 @@ func (t *Tracer) Subscribe(fn func(Record), replay bool) *Subscription {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.subscribeLocked(fn, replay)
-}
-
-func (t *Tracer) subscribeLocked(fn func(Record), replay bool) *Subscription {
 	if t.subs == nil {
 		t.subs = map[int64]func(Record){}
 	}
@@ -141,25 +139,30 @@ func (t *Tracer) emit(rec Record) {
 	}
 }
 
-// start begins a span under the given parent id (0 = root).
-func (t *Tracer) start(parent int64, name string, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
+// point emits a start or note record under the given parent id
+// (0 = root) with a fresh id, and returns that id.
+func (t *Tracer) point(typ string, parent int64, name string, attrs []Attr) int64 {
 	t.mu.Lock()
 	t.nextID++
 	id := t.nextID
 	t.mu.Unlock()
-	s := &Span{t: t, id: id, parent: parent}
 	t.emit(Record{
-		Type:   RecordStart,
+		Type:   typ,
 		ID:     id,
 		Parent: parent,
 		Name:   name,
 		TimeNS: time.Now().UnixNano(),
 		Attrs:  attrMap(attrs),
 	})
-	return s
+	return id
+}
+
+// start begins a span under the given parent id (0 = root).
+func (t *Tracer) start(parent int64, name string, attrs ...Attr) *Span {
+	if t == nil {
+		return nil
+	}
+	return &Span{t: t, id: t.point(RecordStart, parent, name, attrs), parent: parent}
 }
 
 // StartRoot begins a span with no parent, for callers without a context
@@ -260,10 +263,26 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 	if t == nil {
 		return ctx, nil
 	}
-	parent := int64(0)
-	if p := SpanFrom(ctx); p != nil {
-		parent = p.id
-	}
-	s := t.start(parent, name, attrs...)
+	s := t.start(currentID(ctx), name, attrs...)
 	return context.WithValue(ctx, spanKey, s), s
+}
+
+// currentID is the id of the context's current span, or 0 (root).
+func currentID(ctx context.Context) int64 {
+	if p := SpanFrom(ctx); p != nil {
+		return p.id
+	}
+	return 0
+}
+
+// Note records a point event named name under the context's current
+// span: a milestone inside a long span, such as a SAT progress snapshot
+// in the middle of a solve. Notes take ids from the same sequence as
+// spans but have no end. When no tracer is installed it does nothing.
+func Note(ctx context.Context, name string, attrs ...Attr) {
+	t := TracerFrom(ctx)
+	if t == nil {
+		return
+	}
+	t.point(RecordNote, currentID(ctx), name, attrs)
 }

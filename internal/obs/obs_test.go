@@ -38,6 +38,41 @@ func TestSpanNestingRecords(t *testing.T) {
 	}
 }
 
+// TestNoteUnderCurrentSpan: a note takes the next id in the span
+// sequence, hangs under the context's current span, has no end, and
+// leaves the compile rollup unchanged.
+func TestNoteUnderCurrentSpan(t *testing.T) {
+	tr := NewTracer()
+	ctx, compile := StartSpan(ContextWithTracer(context.Background(), tr), "compile")
+	solveCtx, solve := StartSpan(ctx, "sat.solve")
+	Note(solveCtx, "sat.progress", String("phase", "synth"), Int64("conflicts", 5000))
+	solve.End(Int64("conflicts", 6000))
+	compile.End()
+
+	recs := tr.Records()
+	if err := CheckWellFormed(recs); err != nil {
+		t.Fatal(err)
+	}
+	note := recs[2]
+	if note.Type != RecordNote || note.Name != "sat.progress" || note.ID != 3 || note.Parent != recs[1].ID {
+		t.Fatalf("note record = %+v, want id 3 under sat.solve %d", note, recs[1].ID)
+	}
+	if note.Attrs["phase"] != "synth" || note.Attrs["conflicts"] != int64(5000) {
+		t.Fatalf("note attrs = %v", note.Attrs)
+	}
+	withNote, err := RollupCompile(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := RollupCompile(append(recs[:2:2], recs[3:]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withNote != without {
+		t.Fatalf("rollup changed by a note:\n%+v\n%+v", withNote, without)
+	}
+}
+
 func TestStartSpanWithoutTracerIsNoop(t *testing.T) {
 	ctx := context.Background()
 	ctx2, span := StartSpan(ctx, "compile")
@@ -51,8 +86,9 @@ func TestStartSpanWithoutTracerIsNoop(t *testing.T) {
 	span.SetAttr(Int("x", 1))
 	span.End()
 	var tr *Tracer
-	tr.StreamTo(&bytes.Buffer{})
-	if tr.Records() != nil || tr.Summary() != "" || tr.Err() != nil {
+	var buf bytes.Buffer
+	Note(ctx, "sat.progress")
+	if tr.Records() != nil || tr.Summary() != "" || tr.WriteJSONL(&buf) != nil || buf.Len() != 0 {
 		t.Fatal("nil tracer should be inert")
 	}
 }

@@ -152,7 +152,7 @@ func attrStr(m map[string]any, key string) string {
 // last complete "compile" span it contains. The records may come from a
 // live Tracer (Records) or a decoded JSONL trace (ReadRecords); spans
 // outside the compile subtree — a daemon job's surrounding spans, say —
-// are ignored. It errors when no compile span is present, so callers can
+// and notes are ignored. It errors when no compile span is present, so callers can
 // distinguish "nothing was traced" from a zero-cost compile.
 func RollupCompile(recs []Record) (CompileProfile, error) {
 	nodes := map[int64]*profNode{}

@@ -10,11 +10,12 @@ import (
 )
 
 // JobEvent is one frame of a job's live event stream (GET
-// /jobs/{id}/events, Server-Sent Events). Span events mirror the job's
-// tracer records — phase transitions (compile/attempt/portfolio spans),
-// CEGIS iterations (cegis.iter span ends carry outcome and iteration
-// attrs), portfolio member starts and cancels — and note events carry
-// in-solve SAT progress milestones. The terminal "done" event carries
+// /jobs/{id}/events, Server-Sent Events). Span and note events mirror
+// the job's tracer records: phase transitions (compile/attempt/portfolio
+// spans), CEGIS iterations (cegis.iter span ends carry outcome and
+// iteration attrs), and sat.progress notes from inside long solves
+// (Span is the note's own id; its parent is the sat.solve span, which
+// the event does not carry). The terminal "done" event carries
 // the job's final status (which reports cache hit/miss and the portfolio
 // winner) and closes the stream.
 type JobEvent struct {
@@ -75,14 +76,17 @@ func (f *feed) publish(typ, name string, span int64, timeNS int64, attrs map[str
 	}
 }
 
-// publishRecord translates one tracer record into a span event.
+// publishRecord translates one tracer record into a span or note event.
 func (f *feed) publishRecord(rec obs.Record) {
 	if f == nil {
 		return
 	}
 	typ := "span_start"
-	if rec.Type == obs.RecordEnd {
+	switch rec.Type {
+	case obs.RecordEnd:
 		typ = "span_end"
+	case obs.RecordNote:
+		typ = "note"
 	}
 	f.publish(typ, rec.Name, rec.ID, rec.TimeNS, rec.Attrs)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
 
 // waitForSubscribers polls a job's feed until it has n subscribers, so
@@ -107,6 +109,49 @@ func TestWatchLiveCompile(t *testing.T) {
 	}
 	if doneEvents.Load() != 1 {
 		t.Errorf("saw %d done events, want 1", doneEvents.Load())
+	}
+}
+
+// TestNoteReachesEveryConsumer: one sat.progress note emitted under a
+// span on a job's tracer arrives in the flight recorder as a "note"
+// entry and on the SSE feed as a "note" event carrying the progress
+// keys -watch and SSE clients read.
+func TestNoteReachesEveryConsumer(t *testing.T) {
+	tr := obs.NewTracer()
+	rec := flight.New(0)
+	rec.Attach(tr)
+	defer rec.Close()
+	f := newFeed("j1")
+	sub := f.subscribe()
+	defer sub.close()
+	defer tr.Subscribe(f.publishRecord, false).Close()
+
+	ctx, span := obs.StartSpan(obs.ContextWithTracer(context.Background(), tr), "sat.solve")
+	obs.Note(ctx, "sat.progress", obs.String("phase", "verify"), obs.Int64("conflicts", 5000),
+		obs.Int64("decisions", 9000), obs.Int64("restarts", 12))
+	span.End()
+
+	tail := rec.Tail()
+	if len(tail) != 3 || tail[1].Kind != "note" || tail[1].Name != "sat.progress" {
+		t.Fatalf("flight tail = %+v, want start, note, end", tail)
+	}
+	if _, ok := sub.next(nil); !ok {
+		t.Fatal("no span_start event")
+	}
+	ev, ok := sub.next(nil)
+	if !ok || ev.Type != "note" || ev.Name != "sat.progress" {
+		t.Fatalf("second event = %+v, want note sat.progress", ev)
+	}
+	var keys []string
+	for k := range ev.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got := strings.Join(keys, ","); got != "conflicts,decisions,phase,restarts" {
+		t.Fatalf("note attrs keys = %s", got)
+	}
+	if ev.Attrs["phase"] != "verify" || ev.Attrs["conflicts"] != int64(5000) {
+		t.Fatalf("note attrs = %v", ev.Attrs)
 	}
 }
 

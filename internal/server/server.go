@@ -11,9 +11,9 @@
 //	                         is full, 503 while draining.
 //	GET  /jobs/{id}          poll a job's status.
 //	GET  /jobs/{id}/events   Server-Sent Events stream of the job's live
-//	                         progress (phase transitions, CEGIS iterations,
-//	                         portfolio member starts/cancels, SAT progress
-//	                         milestones), ending with a "done" event that
+//	                         progress (the job tracer's span starts and
+//	                         ends, and its sat.progress notes from inside
+//	                         long solves), ending with a "done" event that
 //	                         carries the final status. Works for queued
 //	                         jobs — events begin when the job starts.
 //	GET  /healthz            liveness: 200 normally, 503 while draining,
@@ -63,7 +63,6 @@ import (
 	"repro/internal/obs/flight"
 	"repro/internal/parser"
 	"repro/internal/perfhist"
-	"repro/internal/sat"
 	"repro/internal/solcache"
 	"repro/internal/word"
 )
@@ -472,7 +471,6 @@ func (s *Server) worker() {
 
 func (s *Server) run(j *job) {
 	s.metrics.Gauge("server.inflight").Add(1)
-	defer s.metrics.Gauge("server.inflight").Add(-1)
 
 	j.mu.Lock()
 	j.state = StateRunning
@@ -489,7 +487,8 @@ func (s *Server) run(j *job) {
 	ctx = obs.ContextWithMetrics(ctx, s.metrics)
 
 	// Every job gets its own tracer: the flight recorder keeps a bounded
-	// tail for postmortems, and the SSE feed relays each record live.
+	// tail for postmortems, and the SSE feed relays each record live,
+	// sat.progress notes from inside long solves included.
 	tracer := obs.NewTracer()
 	ctx = obs.ContextWithTracer(ctx, tracer)
 	rec := flight.New(s.cfg.FlightCapacity)
@@ -497,12 +496,6 @@ func (s *Server) run(j *job) {
 	defer rec.Close()
 	feedSub := tracer.Subscribe(j.feed.publishRecord, false)
 	defer feedSub.Close()
-	j.opts.Progress = func(phase string, st sat.Stats) {
-		attrs := map[string]any{"phase": phase, "conflicts": st.Conflicts,
-			"decisions": st.Decisions, "restarts": st.Restarts}
-		rec.Note("sat.progress", attrs)
-		j.feed.publish("note", "sat.progress", 0, time.Now().UnixNano(), attrs)
-	}
 
 	stopSlowWatch := s.startSlowJobWatch(j)
 	rep, err := s.compile(ctx, j)
@@ -551,6 +544,9 @@ func (s *Server) run(j *job) {
 	}
 	j.mu.Unlock()
 	s.metrics.Histogram("server.job_runtime_ms").Observe(elapsed.Milliseconds())
+	// Leave the in-flight count before waking waiters, so a client that
+	// saw its job finish never finds it still counted as running.
+	s.metrics.Gauge("server.inflight").Add(-1)
 	close(j.done)
 	j.feed.close(j.status())
 	s.logJobFinished(j, rep, err, elapsed)

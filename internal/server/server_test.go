@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/bpf"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/perfhist"
 	"repro/internal/pisa"
 	"repro/internal/solcache"
 )
@@ -749,5 +752,78 @@ func TestPortfolioJobReportsWinner(t *testing.T) {
 	}
 	if st.Result.Winner == "" {
 		t.Fatalf("portfolio job result has no winner attribution: %+v", st.Result)
+	}
+}
+
+// TestPrometheusMatchesPerfhist pins the invariant that the daemon's
+// Prometheus counters and its perfhist records describe the same solver
+// work: over a cold feasible job, its cache hit and an infeasible job,
+// sat_conflicts equals the sum of the records' conflicts samples and
+// core_attempts the sum of their attempts samples.
+func TestPrometheusMatchesPerfhist(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.jsonl")
+	hist, err := perfhist.Open(path, "server-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hist.Close()
+	s := New(Config{Workers: 1, JobTimeout: 2 * time.Minute, Cache: solcache.New(8),
+		Metrics: obs.NewRegistry(), History: hist})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	infeasible := CompileRequest{Name: "mul", Source: "pkt.a = pkt.a * pkt.b;", Width: 2,
+		MaxStages: 2, ALU: "counter", Wait: true}
+	for i, req := range []CompileRequest{compileReq(true), compileReq(true), infeasible} {
+		_, st := postCompile(t, ts, req)
+		if st.Result == nil {
+			t.Fatalf("job %d: state %q: %s", i, st.State, st.Error)
+		}
+		if feasible, cached := st.Result.Feasible, st.Result.Cached; feasible != (i < 2) || cached != (i == 1) {
+			t.Fatalf("job %d: feasible=%v cached=%v", i, feasible, cached)
+		}
+	}
+
+	recs, err := perfhist.ReadPath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("%d perfhist records, want 3 (one per job)", len(recs))
+	}
+	var conflicts, attempts float64
+	for _, r := range recs {
+		conflicts += r.Samples["conflicts"]
+		attempts += r.Samples["attempts"]
+	}
+	if conflicts == 0 || attempts == 0 {
+		t.Fatalf("records carry no work: conflicts=%v attempts=%v", conflicts, attempts)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("bad sample line %q: %v", line, err)
+			}
+			prom[f[0]] = v
+		}
+	}
+	if prom["sat_conflicts"] != conflicts {
+		t.Errorf("sat_conflicts = %v, perfhist conflicts sum to %v", prom["sat_conflicts"], conflicts)
+	}
+	if prom["core_attempts"] != attempts {
+		t.Errorf("core_attempts = %v, perfhist attempts sum to %v", prom["core_attempts"], attempts)
 	}
 }

@@ -18,11 +18,14 @@
 //     UNSAT means the configuration is correct for every input at the
 //     verification width.
 //
-// Following §3.1 ("Scaling Chipmunk to a large number of input bits"), the
-// two phases run at different bit widths: synthesis instantiates test
-// inputs at a small width (SKETCH's role), verification at a wider one
-// (Z3's role, default 10 bits). Hole words are width-independent, so
-// wide-width counterexamples constrain the same synthesis solver.
+// Following §3.1 ("Scaling Chipmunk to a large number of input bits"),
+// the loop runs in two tiers. SKETCH's tier works at a small synthesis
+// width: tests are encoded there and each candidate is verified there
+// first. Z3's tier verifies at a wider width (default 10 bits), and only
+// candidates that pass the narrow check reach it. A counterexample is
+// encoded at the width of the query that found it; hole words are
+// width-independent, so both tiers constrain the same synthesis solver.
+// Only an UNSAT query at the verification width returns a configuration.
 package cegis
 
 import (
@@ -58,10 +61,11 @@ const (
 
 // Options tunes the CEGIS loop.
 type Options struct {
-	// SynthWidth is the datapath width for synthesis-phase test inputs
-	// (the paper notes SKETCH defaults to 5-bit integers; 4 is our
-	// default, swept by the two-tier ablation bench). 0 means
-	// DefaultSynthWidth.
+	// SynthWidth is the width of the narrow tier: the initial tests and
+	// the first verification of every candidate (the paper notes SKETCH
+	// defaults to 5-bit integers; 4 is our default, swept by the two-tier
+	// ablation bench). 0 means DefaultSynthWidth. SynthWidth >=
+	// VerifyWidth runs a single tier.
 	SynthWidth word.Width
 	// VerifyWidth is the verification width (the paper's Z3 stage runs at
 	// 10-bit integers). 0 means DefaultVerifyWidth.
@@ -167,7 +171,7 @@ var progressInterval int64 = 5000
 // progressInterval conflicts the solve also emits a "sat.progress" note
 // under its span, so multi-minute solves (Table 2's worst cases) stay
 // observable; without one, no progress hook is installed.
-func solveTraced(ctx context.Context, s *sat.Solver, phase string) (st sat.Status, delta sat.Stats, timedOut bool) {
+func solveTraced(ctx context.Context, s *sat.Solver, phase string, assumptions ...sat.Lit) (st sat.Status, delta sat.Stats, timedOut bool) {
 	solveCtx, span := obs.StartSpan(ctx, "sat.solve")
 	if span != nil {
 		s.SetProgress(progressInterval, func(now sat.Stats) {
@@ -177,7 +181,7 @@ func solveTraced(ctx context.Context, s *sat.Solver, phase string) (st sat.Statu
 		})
 		defer s.SetProgress(0, nil)
 	}
-	st, timedOut = solveWithContext(ctx, s)
+	st, timedOut = solveWithContext(ctx, s, assumptions...)
 	delta = s.StatsDelta()
 	span.End(
 		obs.String("status", st.String()),
@@ -205,24 +209,18 @@ func publishSolve(reg *obs.Registry, d sat.Stats) {
 	reg.Gauge("cnf.clauses").SetMax(int64(d.Clauses))
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // cexBits returns the widest significant bit count across a
 // counterexample's field and state values — the "counterexample width"
-// histogram metric (wide counterexamples mean verification is exercising
-// the upper bits the narrow synthesis tier never saw).
+// histogram metric, observed for the verification-width tier only (wide
+// counterexamples mean verification is exercising the upper bits the
+// narrow tier never saw).
 func cexBits(cex interp.Snapshot) int {
 	w := 0
 	for _, v := range cex.Pkt {
-		w = maxInt(w, bits.Len64(v))
+		w = max(w, bits.Len64(v))
 	}
 	for _, v := range cex.State {
-		w = maxInt(w, bits.Len64(v))
+		w = max(w, bits.Len64(v))
 	}
 	return w
 }
@@ -246,15 +244,87 @@ func Synthesize(ctx context.Context, prog *ast.Program, grid pisa.GridSpec, opts
 func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options) (*Result, error) {
 	start := time.Now()
 	res := &Result{Member: opts.Member, Target: be.Target()}
+	defer func() { res.Elapsed = time.Since(start) }()
+	l, err := newLoop(ctx, prog, be, size, opts, res, false)
+	if err != nil {
+		return nil, err
+	}
+	if l == nil {
+		return res, nil
+	}
+	v, cfg, err := l.run(ctx, opts.maxIters())
+	switch {
+	case err != nil:
+		return nil, err
+	case v == diverged:
+		return res, fmt.Errorf("cegis: no convergence after %d iterations (%d tests)", res.Iters, res.Tests)
+	case v == timedOut:
+		res.TimedOut = true
+	case v == feasible:
+		res.Feasible = true
+		res.TargetConfig = cfg
+		res.Config, _ = cfg.(*pisa.Config)
+	}
+	return res, nil
+}
 
+// verdict is how one CEGIS iteration, or the whole loop, ended.
+type verdict int
+
+const (
+	refined    verdict = iota // a counterexample joins the test set
+	feasible                  // verification at the verification width is UNSAT
+	infeasible                // synthesis is UNSAT on the test set
+	timedOut                  // the context expired
+	failed                    // a test could not be encoded
+	diverged                  // MaxIters ran out
+)
+
+var iterOutcomes = [...]string{"counterexample", "feasible", "infeasible", "timeout", "error"}
+
+// test is one concrete input and the width it is encoded at.
+type test struct {
+	x interp.Snapshot
+	w word.Width
+}
+
+// loop is the state of one CEGIS run: the sketch, the incremental
+// synthesis solver, the verification workspace and the tests waiting to
+// be encoded. SynthesizeOn and the forensics rerun (explainOn) drive the
+// same loop. A gated loop tags each test's output constraints with that
+// output's group, solves under every group's assumption and logs a
+// timeline; nothing else differs.
+type loop struct {
+	prog           *ast.Program
+	fields, states []string
+	b              *circuit.Builder
+	sk             backend.Sketch
+	solver         *sat.Solver
+	cnf            *circuit.CNF
+	ws             *verifier
+	// tiers are the verification widths in query order: the synthesis
+	// width, then the verification width, or the latter alone when the
+	// two coincide.
+	tiers    []word.Width
+	pending  []test
+	res      *Result
+	reg      *obs.Registry
+	gated    bool
+	timeline []ExplainStep
+}
+
+// newLoop builds the sketch and the synthesis solver for prog on be at
+// size and queues the initial tests. It returns a nil loop when the
+// backend's capacity pre-check rejects the program.
+func newLoop(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options, res *Result, gated bool) (*loop, error) {
 	vars := prog.Variables()
-	fields, states := vars.Fields, vars.States
+	l := &loop{prog: prog, fields: vars.Fields, states: vars.States, res: res, reg: obs.MetricsFrom(ctx), gated: gated}
 
 	// Capacity pre-check: a definitive "does not fit" from the backend
 	// (more fields than containers/registers) is a clean infeasible
 	// result, not an error — a legitimate "rejected" outcome. An invalid
 	// machine description or width is an error.
-	fits, err := be.Check(size, len(fields), len(states))
+	fits, err := be.Check(size, len(l.fields), len(l.states))
 	if err != nil {
 		return nil, err
 	}
@@ -262,191 +332,235 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 		return nil, err
 	}
 	if !fits {
-		res.Elapsed = time.Since(start)
-		return res, nil
+		return nil, nil
 	}
 
-	b := circuit.New()
-	sk, err := be.NewSketch(b, size, len(fields), len(states))
-	if err != nil {
+	l.b = circuit.New()
+	if l.sk, err = be.NewSketch(l.b, size, len(l.fields), len(l.states)); err != nil {
 		return nil, err
 	}
-	_, res.HoleBits = sk.HoleCount()
-	reg := obs.MetricsFrom(ctx)
-	sk.PublishMetrics(reg)
+	_, res.HoleBits = l.sk.HoleCount()
+	l.sk.PublishMetrics(l.reg)
 
-	synthSolver := sat.New()
+	l.solver = sat.New()
 	// Attach the cancellation hook before any clause is loaded: AddClause
 	// runs top-level unit propagation, so loading must respect the context
 	// just like in-search propagation does.
 	if fn := contextStop(ctx); fn != nil {
-		synthSolver.SetStop(fn)
+		l.solver.SetStop(fn)
 	}
-	synthCNF := circuit.NewCNF(b, synthSolver)
-	sk.AssertDomains(synthCNF)
-
-	// addTest encodes one concrete test input: instantiate the datapath at
-	// the input's width with constant inputs and assert equality with the
-	// specification's concrete outputs.
-	//
-	// Every canonical variable is materialized in the snapshot first. State
-	// entries absent from the input would otherwise diverge: the datapath
-	// side reads a missing map key as 0, while the interpreter seeds the
-	// variable from the program's Init declaration — yielding a constraint
-	// pipeline(0) == spec(Init) that contradicts later counterexamples and
-	// drives synthesis to a bogus UNSAT for any program with a nonzero
-	// initializer. Feasibility is a property of the transfer function over
-	// free state inputs (exactly how verify encodes it); Init only sets a
-	// register's deployed initial contents.
-	addTest := func(x interp.Snapshot, w word.Width) error {
-		x = x.Clone()
-		for _, f := range fields {
-			if _, ok := x.Pkt[f]; !ok {
-				x.Pkt[f] = 0
-			}
-		}
-		for _, s := range states {
-			if _, ok := x.State[s]; !ok {
-				x.State[s] = 0
-			}
-		}
-		in := interp.MustNew(w)
-		specOut, err := in.Run(prog, x)
-		if err != nil {
-			return err
-		}
-		fw := make([]circuit.Word, len(fields))
-		for i, f := range fields {
-			fw[i] = b.ConstWord(w.Trunc(x.Pkt[f]), w)
-		}
-		sw := make([]circuit.Word, len(states))
-		for i, s := range states {
-			sw[i] = b.ConstWord(w.Trunc(x.State[s]), w)
-		}
-		outF, outS := sk.Instantiate(w, fw, sw)
-		for i, f := range fields {
-			synthCNF.Assert(b.EqW(outF[i], b.ConstWord(specOut.Pkt[f], w)))
-		}
-		for i, s := range states {
-			synthCNF.Assert(b.EqW(outS[i], b.ConstWord(specOut.State[s], w)))
-		}
-		res.Tests++
-		reg.Counter("cegis.tests").Add(1)
-		return nil
+	l.cnf = circuit.NewCNF(l.b, l.solver)
+	if gated {
+		l.cnf.EnableGroups()
 	}
+	l.sk.AssertDomains(l.cnf)
+	l.ws = newVerifier()
 
 	// Figure 3: initialize X to random inputs (plus all-zeros, which pins
 	// down constant-output components cheaply). The synthesis width is
 	// clamped to the sketch's minimum sound width: control holes must not
 	// truncate (see sketch.MinWidth).
+	sw := max(opts.synthWidth(), l.sk.MinWidth())
+	vw := max(opts.verifyWidth(), sw)
+	l.tiers = []word.Width{sw, vw}
+	if sw == vw {
+		l.tiers = l.tiers[1:]
+	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	sw, vw := opts.synthWidth(), opts.verifyWidth()
-	if mw := sk.MinWidth(); sw < mw {
-		sw = mw
-	}
-	if vw < sw {
-		vw = sw
-	}
-	if err := addTest(interp.NewSnapshot(), sw); err != nil {
-		return nil, err
-	}
+	l.pending = append(l.pending, test{interp.NewSnapshot(), sw})
 	for i := 0; i < opts.initialTests(); i++ {
-		if err := addTest(randomSnapshot(rng, sw, fields, states), sw); err != nil {
-			return nil, err
-		}
+		l.pending = append(l.pending, test{randomSnapshot(rng, sw, l.fields, l.states), sw})
 	}
+	return l, nil
+}
 
-	ws := newVerifier()
-
-	for iter := 1; iter <= opts.maxIters(); iter++ {
-		res.Iters = iter
-		reg.Counter("cegis.iterations").Add(1)
+// run iterates until a verdict other than refined, or until maxIters
+// iterations have run (diverged).
+func (l *loop) run(ctx context.Context, maxIters int) (verdict, backend.Config, error) {
+	for iter := 1; iter <= maxIters; iter++ {
+		l.res.Iters = iter
+		l.reg.Counter("cegis.iterations").Add(1)
 		iterAttrs := []obs.Attr{obs.Int("iter", iter)}
-		if opts.Member != "" {
-			iterAttrs = append(iterAttrs, obs.String("member", opts.Member))
+		if l.res.Member != "" {
+			iterAttrs = append(iterAttrs, obs.String("member", l.res.Member))
 		}
 		iterCtx, iterSpan := obs.StartSpan(ctx, "cegis.iter", iterAttrs...)
-
-		// --- Synthesis phase (Equation 2) ---
-		synthCtx, synthSpan := obs.StartSpan(iterCtx, "synth", obs.Int("tests", res.Tests))
-		st, sd, timedOut := solveTraced(synthCtx, synthSolver, "synth")
-		publishSolve(reg, sd)
-		reg.Gauge("circuit.gates").SetMax(int64(b.NumGates()))
-		res.SynthConflicts = synthSolver.Stats().Conflicts
-		res.Decisions += sd.Decisions
-		res.Propagations += sd.Propagations
-		res.PeakCNFVars = maxInt(res.PeakCNFVars, sd.MaxVar)
-		res.PeakCNFClauses = maxInt(res.PeakCNFClauses, synthCNF.NumClauses())
-		res.Gates = maxInt(res.Gates, b.NumGates())
-
-		outcome := "sat"
-		if timedOut {
-			outcome = "timeout"
-		} else if st == sat.Unsat {
-			outcome = "unsat"
-		}
-		synthSpan.End(obs.String("outcome", outcome), obs.Int64("conflicts", sd.Conflicts))
-		if timedOut {
-			iterSpan.End(obs.String("outcome", "timeout"))
-			res.TimedOut = true
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		if st == sat.Unsat {
-			// No hole assignment matches the spec even on the current
-			// finite test set: the sketch is infeasible (Figure 1 right).
-			iterSpan.End(obs.String("outcome", "infeasible"))
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		cfg := sk.Extract(synthCNF, fields, states, vw)
-
-		// --- Verification phase (Equation 3) ---
-		verifyCtx, verifySpan := obs.StartSpan(iterCtx, "verify")
-		vo := ws.verify(verifyCtx, prog, cfg, fields, states, vw)
-		publishSolve(reg, vo.stats)
-		reg.Gauge("circuit.gates").SetMax(int64(vo.gates))
-		res.VerifyConflicts += vo.stats.Conflicts
-		res.Decisions += vo.stats.Decisions
-		res.Propagations += vo.stats.Propagations
-		res.PeakCNFVars = maxInt(res.PeakCNFVars, vo.stats.MaxVar)
-		res.PeakCNFClauses = maxInt(res.PeakCNFClauses, vo.clauses)
-		res.Gates = maxInt(res.Gates, vo.gates)
-
-		outcome = "sat"
-		if vo.timedOut {
-			outcome = "timeout"
-		} else if vo.verified {
-			outcome = "unsat"
-		}
-		verifySpan.End(obs.String("outcome", outcome), obs.Int64("conflicts", vo.stats.Conflicts))
-		if vo.timedOut {
-			iterSpan.End(obs.String("outcome", "timeout"))
-			res.TimedOut = true
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		if vo.verified {
-			iterSpan.End(obs.String("outcome", "feasible"))
-			res.Feasible = true
-			res.TargetConfig = cfg
-			if pc, ok := cfg.(*pisa.Config); ok {
-				res.Config = pc
-			}
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		reg.Histogram("cegis.cex_bits").Observe(int64(cexBits(vo.cex)))
-		iterSpan.End(obs.String("outcome", "counterexample"))
-		// Feed the counterexample back at the verification width (the
-		// paper's outer loop: "rerun SKETCH using the counterexample as an
-		// additional concrete input").
-		if err := addTest(vo.cex, vw); err != nil {
-			return nil, err
+		v, cfg, err := l.iterate(iterCtx, iter)
+		iterSpan.End(obs.String("outcome", iterOutcomes[v]))
+		if v != refined {
+			return v, cfg, err
 		}
 	}
-	res.Elapsed = time.Since(start)
-	return res, fmt.Errorf("cegis: no convergence after %d iterations (%d tests)", res.Iters, res.Tests)
+	return diverged, nil, nil
+}
+
+// iterate is one CEGIS iteration: synthesize a candidate on the test set,
+// then verify it tier by tier. The first tier that finds a counterexample
+// queues it, at that tier's width, for the next synthesis; only a
+// candidate every tier proves — the last at the verification width — is
+// returned.
+func (l *loop) iterate(ctx context.Context, iter int) (verdict, backend.Config, error) {
+	// --- Synthesis phase (Equation 2) ---
+	st, timeout, err := l.synthesize(ctx, iter)
+	switch {
+	case err != nil:
+		return failed, nil, err
+	case timeout:
+		return timedOut, nil, nil
+	case st == sat.Unsat:
+		// No hole assignment matches the spec even on the current
+		// finite test set: the sketch is infeasible (Figure 1 right).
+		return infeasible, nil, nil
+	}
+	vw := l.tiers[len(l.tiers)-1]
+	cfg := l.sk.Extract(l.cnf, l.fields, l.states, vw)
+
+	// --- Verification phase (Equation 3), narrow tier first ---
+	for _, w := range l.tiers {
+		vo := l.verify(ctx, iter, cfg, w)
+		switch {
+		case vo.timedOut:
+			return timedOut, nil, nil
+		case !vo.verified:
+			if w == vw {
+				l.reg.Histogram("cegis.cex_bits").Observe(int64(cexBits(vo.cex)))
+			}
+			// The paper's outer loop: "rerun SKETCH using the
+			// counterexample as an additional concrete input".
+			l.pending = append(l.pending, test{vo.cex, w})
+			return refined, nil, nil
+		}
+	}
+	return feasible, cfg, nil
+}
+
+// synthesize is the synthesis phase: encode the queued tests, then solve
+// for hole values.
+func (l *loop) synthesize(ctx context.Context, iter int) (sat.Status, bool, error) {
+	start := time.Now()
+	ctx, span := obs.StartSpan(ctx, "synth", obs.Int("tests", l.res.Tests+len(l.pending)))
+	for _, t := range l.pending {
+		if err := l.encode(t); err != nil {
+			span.End(obs.String("outcome", "error"))
+			return sat.Unknown, false, err
+		}
+	}
+	l.pending = l.pending[:0]
+	var assume []sat.Lit
+	if l.gated {
+		// Groups only ever grow (per-output groups are reused across
+		// tests), so the assumption set is recomputed per iteration.
+		assume = l.cnf.GroupAssumptions(l.cnf.Groups())
+	}
+	st, d, timeout := solveTraced(ctx, l.solver, "synth", assume...)
+	l.res.SynthConflicts += d.Conflicts
+	l.account(d, l.cnf.NumClauses(), l.b.NumGates())
+	l.endPhase(span, iter, "synth", phaseOutcome(st == sat.Unsat, timeout), d.Conflicts, start)
+	return st, timeout, nil
+}
+
+// verify is one verification query, at width w, in its own phase span.
+func (l *loop) verify(ctx context.Context, iter int, cfg backend.Config, w word.Width) verifyOutcome {
+	start := time.Now()
+	ctx, span := obs.StartSpan(ctx, "verify")
+	vo := l.ws.verify(ctx, l.prog, cfg, l.fields, l.states, w)
+	l.res.VerifyConflicts += vo.stats.Conflicts
+	l.account(vo.stats, vo.clauses, vo.gates)
+	l.endPhase(span, iter, "verify", phaseOutcome(vo.verified, vo.timedOut), vo.stats.Conflicts, start,
+		obs.Int("width", int(w)))
+	return vo
+}
+
+// encode asserts one concrete test: instantiate the datapath at the
+// test's width with constant inputs and assert equality with the
+// specification's concrete outputs. A gated loop puts each output's
+// assertion in that output's group, so an UNSAT core can blame
+// individual packet-field and state-variable computations — which map
+// back to the statements assigning them.
+//
+// Every canonical variable is materialized in the snapshot first. State
+// entries absent from the input would otherwise diverge: the datapath
+// side reads a missing map key as 0, while the interpreter seeds the
+// variable from the program's Init declaration — yielding a constraint
+// pipeline(0) == spec(Init) that contradicts later counterexamples and
+// drives synthesis to a bogus UNSAT for any program with a nonzero
+// initializer. Feasibility is a property of the transfer function over
+// free state inputs (exactly how verify encodes it); Init only sets a
+// register's deployed initial contents.
+func (l *loop) encode(t test) error {
+	x, w, b := t.x.Clone(), t.w, l.b
+	for _, f := range l.fields {
+		if _, ok := x.Pkt[f]; !ok {
+			x.Pkt[f] = 0
+		}
+	}
+	for _, s := range l.states {
+		if _, ok := x.State[s]; !ok {
+			x.State[s] = 0
+		}
+	}
+	specOut, err := interp.MustNew(w).Run(l.prog, x)
+	if err != nil {
+		return err
+	}
+	fw := make([]circuit.Word, len(l.fields))
+	for i, f := range l.fields {
+		fw[i] = b.ConstWord(w.Trunc(x.Pkt[f]), w)
+	}
+	sw := make([]circuit.Word, len(l.states))
+	for i, s := range l.states {
+		sw[i] = b.ConstWord(w.Trunc(x.State[s]), w)
+	}
+	outF, outS := l.sk.Instantiate(w, fw, sw)
+	for i, f := range l.fields {
+		if l.gated {
+			l.cnf.SetGroup(circuit.GroupPktField(f))
+		}
+		l.cnf.Assert(b.EqW(outF[i], b.ConstWord(specOut.Pkt[f], w)))
+	}
+	for i, s := range l.states {
+		if l.gated {
+			l.cnf.SetGroup(circuit.GroupStateVar(s))
+		}
+		l.cnf.Assert(b.EqW(outS[i], b.ConstWord(specOut.State[s], w)))
+	}
+	l.cnf.SetGroup("")
+	l.res.Tests++
+	l.reg.Counter("cegis.tests").Add(1)
+	return nil
+}
+
+// account folds one solve's effort and encoding size into the Result and
+// the registry.
+func (l *loop) account(d sat.Stats, clauses, gates int) {
+	publishSolve(l.reg, d)
+	l.reg.Gauge("circuit.gates").SetMax(int64(gates))
+	l.res.Decisions += d.Decisions
+	l.res.Propagations += d.Propagations
+	l.res.PeakCNFVars = max(l.res.PeakCNFVars, d.MaxVar)
+	l.res.PeakCNFClauses = max(l.res.PeakCNFClauses, clauses)
+	l.res.Gates = max(l.res.Gates, gates)
+}
+
+// endPhase ends a phase span and, in a gated loop, logs the phase on the
+// timeline.
+func (l *loop) endPhase(span *obs.Span, iter int, phase, outcome string, conflicts int64, start time.Time, attrs ...obs.Attr) {
+	span.End(append(attrs, obs.String("outcome", outcome), obs.Int64("conflicts", conflicts))...)
+	if l.gated {
+		l.timeline = append(l.timeline, ExplainStep{Iter: iter, Phase: phase, Outcome: outcome,
+			Conflicts: conflicts, Elapsed: time.Since(start)})
+	}
+}
+
+// phaseOutcome names a phase solve's result.
+func phaseOutcome(unsat, timeout bool) string {
+	switch {
+	case timeout:
+		return "timeout"
+	case unsat:
+		return "unsat"
+	}
+	return "sat"
 }
 
 // verifyOutcome carries one verification query's result and effort.
@@ -546,12 +660,13 @@ func (v *verifier) verify(ctx context.Context, prog *ast.Program, cfg backend.Co
 	return out
 }
 
-// solveWithContext runs the solver under the context's cancellation. The
-// primary mechanism is the solver's in-search stop hook (sat.SetStop),
-// which polls the context every few hundred conflicts so cancelled
-// portfolio members abort mid-solve; the budgeted-chunk loop remains as a
-// fallback for solvers whose hook a caller has displaced.
-func solveWithContext(ctx context.Context, s *sat.Solver) (sat.Status, bool) {
+// solveWithContext runs the solver under the assumptions and the
+// context's cancellation. The primary mechanism is the solver's in-search
+// stop hook (sat.SetStop), which polls the context every few hundred
+// conflicts so cancelled portfolio members abort mid-solve; the
+// budgeted-chunk loop remains as a fallback for solvers whose hook a
+// caller has displaced.
+func solveWithContext(ctx context.Context, s *sat.Solver, assumptions ...sat.Lit) (sat.Status, bool) {
 	if fn := contextStop(ctx); fn != nil {
 		// Deliberately left installed after the solve returns: the hook
 		// also guards top-level propagation when later clauses are loaded
@@ -564,7 +679,7 @@ func solveWithContext(ctx context.Context, s *sat.Solver) (sat.Status, bool) {
 			return sat.Unknown, true
 		default:
 		}
-		st, err := s.SolveWithBudget(budgetChunk)
+		st, err := s.SolveWithBudget(budgetChunk, assumptions...)
 		switch {
 		case err == nil:
 			return st, false

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/alu"
 	"repro/internal/ast"
+	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/interp"
 	"repro/internal/obs"
@@ -558,7 +559,9 @@ func TestUnknownExpressionTypeErrors(t *testing.T) {
 // attached and checks the three views agree: the sat.solve span deltas
 // under the synth and verify phases sum to the Result's cumulative
 // totals, the metrics registry's counters match the same sums, and the
-// span trace is well-formed with the documented hierarchy.
+// span trace is well-formed with the documented hierarchy: one sat.solve
+// per phase span, verify spans at both tier widths, and a last verify at
+// the verification width that ends UNSAT.
 func TestObservabilityAgreement(t *testing.T) {
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
@@ -643,8 +646,96 @@ else { count = count + 1; pkt.sample = 0; }
 	if names["synth"] == 0 || names["verify"] == 0 {
 		t.Fatalf("missing phase spans: %v", names)
 	}
-	if names["sat.solve"] != names["synth"]+names["verify"] {
-		t.Fatalf("each phase should contain one sat.solve: %v", names)
+	// Each phase span holds exactly one sat.solve.
+	solves := map[int64]int{}
+	for _, e := range ends {
+		if e.start.Name == "sat.solve" {
+			solves[e.start.Parent]++
+		}
+	}
+	verifyByWidth := map[int64]int64{}
+	phases := phaseEnds(recs)
+	for _, e := range phases {
+		if solves[e.start.ID] != 1 {
+			t.Fatalf("%s span %d holds %d sat.solve spans, want 1", e.start.Name, e.start.ID, solves[e.start.ID])
+		}
+		if e.start.Name == "verify" {
+			verifyByWidth[e.attrs["width"].(int64)] += e.attrs["conflicts"].(int64)
+		}
+	}
+	// Verify conflicts summed over both tiers match the Result.
+	if len(verifyByWidth) != 2 || verifyByWidth[4]+verifyByWidth[10] != res.VerifyConflicts {
+		t.Fatalf("verify conflicts by width %v, want widths 4 and 10 summing to %d", verifyByWidth, res.VerifyConflicts)
+	}
+	// The configuration is returned only on an UNSAT wide-tier query.
+	last := phases[len(phases)-1]
+	if last.start.Name != "verify" || last.attrs["width"] != int64(DefaultVerifyWidth) || last.attrs["outcome"] != "unsat" {
+		t.Fatalf("last phase %s width=%v outcome=%v, want verify width=%d outcome=unsat",
+			last.start.Name, last.attrs["width"], last.attrs["outcome"], DefaultVerifyWidth)
+	}
+}
+
+// TestWideTierCounterexample: y = x + 30 wraps to x + 14 at the 4-bit
+// synthesis width, so one stage with 4-bit constants passes the narrow
+// check ("addi 14"). Only the 10-bit tier refutes it: one stage is proven
+// infeasible after a wide counterexample that follows a narrow pass, and
+// two stages (15 + 15) are feasible and equivalent.
+func TestWideTierCounterexample(t *testing.T) {
+	src := "pkt.y = pkt.x + 30;"
+	res, recs := tracedSynth(t, src, grid(1, 2, alu.Counter, 4), Options{Seed: 7})
+	if res.Feasible || res.TimedOut {
+		t.Fatalf("one stage: feasible=%v timedout=%v, want a proof of infeasibility", res.Feasible, res.TimedOut)
+	}
+	narrowPass, wideCex := false, false
+	for _, e := range phaseEnds(recs) {
+		if e.start.Name != "verify" {
+			continue
+		}
+		switch {
+		case e.attrs["width"] == int64(4) && e.attrs["outcome"] == "unsat":
+			narrowPass = true
+		case e.attrs["width"] == int64(10) && e.attrs["outcome"] == "sat":
+			wideCex = wideCex || narrowPass
+		}
+	}
+	if !wideCex {
+		t.Fatal("one stage should be refuted by a wide counterexample after a narrow pass")
+	}
+
+	res = synth(t, src, grid(2, 2, alu.Counter, 4), Options{Seed: 7})
+	if !res.Feasible {
+		t.Fatal("two stages should fit x + 30")
+	}
+	if m := backend.CheckEquivalence(parser.MustParse("test", src), res.TargetConfig, 7); m != nil {
+		t.Fatalf("two-stage config disagrees with the program: %v", m)
+	}
+}
+
+// TestSingleTier: with SynthWidth == VerifyWidth the two tiers are one
+// query, so every iteration that verifies runs exactly one verify span.
+func TestSingleTier(t *testing.T) {
+	res, recs := tracedSynth(t, "pkt.hit = pkt.a == 20;", grid(1, 2, alu.Counter, 5),
+		Options{Seed: 5, SynthWidth: 10, VerifyWidth: 10})
+	if !res.Feasible {
+		t.Fatal("equality test should be feasible")
+	}
+	_, starts := spanEnds(recs)
+	verifies := map[int64]int{}
+	for _, e := range phaseEnds(recs) {
+		if e.start.Name == "verify" {
+			if e.attrs["width"] != int64(10) {
+				t.Fatalf("verify at width %v, want 10", e.attrs["width"])
+			}
+			verifies[e.start.Parent]++
+		}
+	}
+	for id, r := range starts {
+		if r.Name == "cegis.iter" && verifies[id] != 1 {
+			t.Fatalf("iteration %v ran %d verify spans, want 1", r.Attrs["iter"], verifies[id])
+		}
+	}
+	if len(verifies) != res.Iters {
+		t.Fatalf("%d iterations verified, Result says %d iterations", len(verifies), res.Iters)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // The pass is strictly post-hoc: the normal compile path never enables
 // groups, so its clause stream and solver counters are untouched. Explain
-// re-runs a gated mini-CEGIS at the failed size with the same seed, which
+// re-runs the CEGIS loop gated at the failed size with the same seed, which
 // costs roughly one extra compile attempt — acceptable because it only
 // runs after a compile has already failed.
 
@@ -14,17 +14,14 @@ package cegis
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/ast"
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/interp"
+	"repro/internal/obs"
 	"repro/internal/sat"
-	"repro/internal/word"
 )
 
 // ExplainStep is one entry of an explanation's effort timeline: a CEGIS
@@ -74,8 +71,10 @@ type ExplainResult struct {
 // Explain re-runs synthesis for prog on be at the given size with
 // constraint-group tracking enabled and returns a minimal set of named
 // groups that is jointly unsatisfiable. It should be called only after a
-// normal (ungated) run concluded infeasible; opts should carry the same
-// seed and widths so the gated run retraces the same test inputs.
+// normal (ungated) run concluded infeasible, with the same seed and
+// widths. The gated run is SynthesizeOn's two-tier loop over the same
+// initial tests; its synthesis solves run under group assumptions, so
+// its search, and the counterexamples it meets, may differ.
 func Explain(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options) (*ExplainResult, error) {
 	res, _, _, err := explainOn(ctx, prog, be, size, opts)
 	return res, err
@@ -100,7 +99,7 @@ func AuditCore(ctx context.Context, prog *ast.Program, be backend.Backend, size 
 		return res, []string{"minimal core is empty: the hard (ungrouped) clauses alone are unsatisfiable"}, nil
 	}
 	var defects []string
-	st, timedOut := solveAssume(ctx, solver, cnf.GroupAssumptions(res.Core))
+	st, timedOut := solveWithContext(ctx, solver, cnf.GroupAssumptions(res.Core)...)
 	if timedOut {
 		return res, defects, nil
 	}
@@ -111,7 +110,7 @@ func AuditCore(ctx context.Context, prog *ast.Program, be backend.Backend, size 
 		rest := make([]string, 0, len(res.Core)-1)
 		rest = append(rest, res.Core[:i]...)
 		rest = append(rest, res.Core[i+1:]...)
-		st, timedOut := solveAssume(ctx, solver, cnf.GroupAssumptions(rest))
+		st, timedOut := solveWithContext(ctx, solver, cnf.GroupAssumptions(rest)...)
 		if timedOut {
 			return res, defects, nil
 		}
@@ -131,140 +130,34 @@ func explainOn(ctx context.Context, prog *ast.Program, be backend.Backend, size 
 	res := &ExplainResult{}
 	defer func() { res.Elapsed = time.Since(start) }()
 
-	vars := prog.Variables()
-	fields, states := vars.Fields, vars.States
-	fits, err := be.Check(size, len(fields), len(states))
+	// The rerun is forensics, not compile work: it runs untraced and
+	// unmetered, so it adds nothing to the compile's CEGIS spans and
+	// counters.
+	ctx = obs.ContextWithMetrics(obs.ContextWithTracer(ctx, nil), nil)
+	l, err := newLoop(ctx, prog, be, size, opts, &Result{}, true)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if !fits {
+	if l == nil {
 		res.CapacityExceeded = true
 		return res, nil, nil, nil
 	}
-
-	b := circuit.New()
-	sk, err := be.NewSketch(b, size, len(fields), len(states))
+	v, _, err := l.run(ctx, opts.maxIters())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	solver := sat.New()
-	if fn := contextStop(ctx); fn != nil {
-		solver.SetStop(fn)
+	res.Iters, res.Tests, res.Timeline = l.res.Iters, l.res.Tests, l.timeline
+	switch v {
+	case infeasible:
+		return res, l.solver, l.cnf, minimizeCore(ctx, res, l.solver, l.cnf)
+	case feasible:
+		res.Feasible = true
+	default:
+		// A timeout, or the iteration bound reached without an UNSAT:
+		// nothing to blame.
+		res.TimedOut = true
 	}
-	cnf := circuit.NewCNF(b, solver)
-	cnf.EnableGroups()
-	sk.AssertDomains(cnf)
-
-	// addTest mirrors SynthesizeOn's closure, with one difference: each
-	// output's correctness assertions are tagged with that output's group,
-	// so the core can blame individual packet-field and state-variable
-	// computations — which map back to the statements assigning them.
-	addTest := func(x interp.Snapshot, w word.Width) error {
-		x = x.Clone()
-		for _, f := range fields {
-			if _, ok := x.Pkt[f]; !ok {
-				x.Pkt[f] = 0
-			}
-		}
-		for _, s := range states {
-			if _, ok := x.State[s]; !ok {
-				x.State[s] = 0
-			}
-		}
-		in := interp.MustNew(w)
-		specOut, err := in.Run(prog, x)
-		if err != nil {
-			return err
-		}
-		fw := make([]circuit.Word, len(fields))
-		for i, f := range fields {
-			fw[i] = b.ConstWord(w.Trunc(x.Pkt[f]), w)
-		}
-		sw := make([]circuit.Word, len(states))
-		for i, s := range states {
-			sw[i] = b.ConstWord(w.Trunc(x.State[s]), w)
-		}
-		outF, outS := sk.Instantiate(w, fw, sw)
-		for i, f := range fields {
-			cnf.SetGroup(circuit.GroupPktField(f))
-			cnf.Assert(b.EqW(outF[i], b.ConstWord(specOut.Pkt[f], w)))
-		}
-		for i, s := range states {
-			cnf.SetGroup(circuit.GroupStateVar(s))
-			cnf.Assert(b.EqW(outS[i], b.ConstWord(specOut.State[s], w)))
-		}
-		cnf.SetGroup("")
-		res.Tests++
-		return nil
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed))
-	sw, vw := opts.synthWidth(), opts.verifyWidth()
-	if mw := sk.MinWidth(); sw < mw {
-		sw = mw
-	}
-	if vw < sw {
-		vw = sw
-	}
-	if err := addTest(interp.NewSnapshot(), sw); err != nil {
-		return nil, nil, nil, err
-	}
-	for i := 0; i < opts.initialTests(); i++ {
-		if err := addTest(randomSnapshot(rng, sw, fields, states), sw); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-
-	ws := newVerifier()
-	step := func(iter int, phase, outcome string, conflicts int64, since time.Time) {
-		res.Timeline = append(res.Timeline, ExplainStep{
-			Iter: iter, Phase: phase, Outcome: outcome,
-			Conflicts: conflicts, Elapsed: time.Since(since),
-		})
-	}
-
-	// Gated mini-CEGIS: solve under the assumption that every group holds.
-	// Groups only ever grow (per-output groups are reused across tests),
-	// so the assumption set is recomputed per iteration.
-	for iter := 1; iter <= opts.maxIters(); iter++ {
-		res.Iters = iter
-		assume := cnf.GroupAssumptions(cnf.Groups())
-		phaseStart := time.Now()
-		st, timedOut := solveAssume(ctx, solver, assume)
-		delta := solver.StatsDelta()
-		switch {
-		case timedOut:
-			step(iter, "synth", "timeout", delta.Conflicts, phaseStart)
-			res.TimedOut = true
-			return res, solver, cnf, nil
-		case st == sat.Unsat:
-			step(iter, "synth", "unsat", delta.Conflicts, phaseStart)
-			return res, solver, cnf, minimizeCore(ctx, res, solver, cnf, step)
-		}
-		step(iter, "synth", "sat", delta.Conflicts, phaseStart)
-
-		cfg := sk.Extract(cnf, fields, states, vw)
-		phaseStart = time.Now()
-		vo := ws.verify(ctx, prog, cfg, fields, states, vw)
-		switch {
-		case vo.timedOut:
-			step(iter, "verify", "timeout", vo.stats.Conflicts, phaseStart)
-			res.TimedOut = true
-			return res, solver, cnf, nil
-		case vo.verified:
-			step(iter, "verify", "unsat", vo.stats.Conflicts, phaseStart)
-			res.Feasible = true
-			return res, solver, cnf, nil
-		}
-		step(iter, "verify", "sat", vo.stats.Conflicts, phaseStart)
-		if err := addTest(vo.cex, vw); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	// Iteration bound reached without an UNSAT: nothing to blame.
-	res.Feasible = false
-	res.TimedOut = true
-	return res, solver, cnf, nil
+	return res, l.solver, l.cnf, nil
 }
 
 // minimizeCore shrinks the solver's UNSAT core to a minimal group set by
@@ -274,7 +167,11 @@ func explainOn(ctx context.Context, prog *ast.Program, be backend.Backend, size 
 // commits or reverts — applied to assumption sets instead of inputs. On
 // completion every remaining group is necessary: dropping any one of them
 // flips the verdict to SAT.
-func minimizeCore(ctx context.Context, res *ExplainResult, solver *sat.Solver, cnf *circuit.CNF, step func(int, string, string, int64, time.Time)) error {
+func minimizeCore(ctx context.Context, res *ExplainResult, solver *sat.Solver, cnf *circuit.CNF) error {
+	step := func(probe int, outcome string, conflicts int64, since time.Time) {
+		res.Timeline = append(res.Timeline, ExplainStep{Iter: probe, Phase: "minimize", Outcome: outcome,
+			Conflicts: conflicts, Elapsed: time.Since(since)})
+	}
 	res.Groups = cnf.Groups()
 	core := coreNames(solver.UnsatCore(), cnf)
 	probe := 0
@@ -284,16 +181,16 @@ func minimizeCore(ctx context.Context, res *ExplainResult, solver *sat.Solver, c
 		cand = append(cand, core[i+1:]...)
 		probe++
 		phaseStart := time.Now()
-		st, timedOut := solveAssume(ctx, solver, cnf.GroupAssumptions(cand))
+		st, timedOut := solveWithContext(ctx, solver, cnf.GroupAssumptions(cand)...)
 		delta := solver.StatsDelta()
 		if timedOut {
-			step(probe, "minimize", "timeout", delta.Conflicts, phaseStart)
+			step(probe, "timeout", delta.Conflicts, phaseStart)
 			res.Core = core
 			res.TimedOut = true
 			return nil
 		}
 		if st == sat.Unsat {
-			step(probe, "minimize", "unsat", delta.Conflicts, phaseStart)
+			step(probe, "unsat", delta.Conflicts, phaseStart)
 			// The dropped group was redundant. The fresh core is a subset
 			// of cand and may prune several groups at once.
 			next := coreNames(solver.UnsatCore(), cnf)
@@ -303,7 +200,7 @@ func minimizeCore(ctx context.Context, res *ExplainResult, solver *sat.Solver, c
 			}
 			continue
 		}
-		step(probe, "minimize", "sat", delta.Conflicts, phaseStart)
+		step(probe, "sat", delta.Conflicts, phaseStart)
 		i++
 	}
 	res.Core = core
@@ -338,29 +235,6 @@ func intersectOrdered(a, b []string) []string {
 		}
 	}
 	return out
-}
-
-// solveAssume is solveWithContext with assumption literals: chunked
-// conflict budgets between context polls, aborting promptly via the
-// solver's stop hook.
-func solveAssume(ctx context.Context, s *sat.Solver, assumptions []sat.Lit) (sat.Status, bool) {
-	if fn := contextStop(ctx); fn != nil {
-		s.SetStop(fn)
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return sat.Unknown, true
-		default:
-		}
-		st, err := s.SolveWithBudget(budgetChunk, assumptions...)
-		switch {
-		case err == nil:
-			return st, false
-		case errors.Is(err, sat.ErrStopped):
-			return sat.Unknown, true
-		}
-	}
 }
 
 // BlamedStatements maps blamed output groups (GroupPktField /

@@ -34,8 +34,8 @@ import (
 	"context"
 
 	"repro/internal/alu"
-	"repro/internal/approx"
 	"repro/internal/ast"
+	"repro/internal/cegis"
 	"repro/internal/core"
 	"repro/internal/domino"
 	"repro/internal/emit"
@@ -255,18 +255,19 @@ func Superoptimize(ctx context.Context, prog *Program, opts SuperoptOptions) (*S
 	return superopt.Superoptimize(ctx, prog, opts)
 }
 
-// ApproxOptions configures §5.2 approximate synthesis; set Care to a Domino
-// expression describing the inputs whose behaviour matters.
-type ApproxOptions = approx.Options
+// ApproxOptions configures §5.2 approximate synthesis: the CEGIS options,
+// with Care set to a Domino expression describing the inputs whose
+// behaviour matters.
+type ApproxOptions = cegis.Options
 
 // ApproxResult reports an approximate-synthesis run.
-type ApproxResult = approx.Result
+type ApproxResult = cegis.Result
 
 // SynthesizeApproximate fits a program onto a grid requiring correctness
 // only on inputs satisfying the care predicate (§5.2, "Approximate Program
 // Synthesis") — trading accuracy for stages and ALUs.
 func SynthesizeApproximate(ctx context.Context, prog *Program, grid GridSpec, opts ApproxOptions) (*ApproxResult, error) {
-	return approx.Synthesize(ctx, prog, grid, opts)
+	return cegis.Synthesize(ctx, prog, grid, opts)
 }
 
 // RepairOptions bounds the §5.3 repair-hint search.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	chipmunk "repro"
+	"repro/internal/obs"
 )
 
 const samplingSrc = `
@@ -132,6 +133,79 @@ func TestPublicAPIExtensions(t *testing.T) {
 		chipmunk.PredRaw, 4, chipmunk.RepairOptions{})
 	if err != nil || !rr.Repaired {
 		t.Fatalf("repair: %v repaired=%v reason=%s", err, rr.Repaired, rr.Reason)
+	}
+}
+
+// TestApproximateNonzeroInitState: approximate synthesis, like exact
+// synthesis, treats state as a free input. A nonzero initializer must not
+// make the program infeasible.
+func TestApproximateNonzeroInitState(t *testing.T) {
+	care, err := chipmunk.ParseExpr("s == 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := chipmunk.SynthesizeApproximate(ctx,
+		chipmunk.MustParse("init", "int s = 5; s = s + 1;"),
+		chipmunk.GridSpec{Stages: 1, Width: 2, WordWidth: 10,
+			StatefulALU: chipmunk.StatefulALU{Kind: chipmunk.Counter}},
+		chipmunk.ApproxOptions{Care: care, Seed: 3})
+	if err != nil || !res.Feasible {
+		t.Fatalf("approximate synthesis with a nonzero initializer: %v feasible=%v", err, res != nil && res.Feasible)
+	}
+}
+
+// TestSection5RunsAreTraced: the §5.1 superoptimizer and §5.2 approximate
+// synthesis run the shared CEGIS loop, so they report through the same
+// spans and counters as a compile: cegis.iter, synth and verify spans, and
+// one sat.solve span per solve the sat.solves counter counts.
+func TestSection5RunsAreTraced(t *testing.T) {
+	care, err := chipmunk.ParseExpr("pkt.a >= 0 && pkt.a < 8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func(ctx context.Context) error{
+		"superopt": func(ctx context.Context) error {
+			_, err := chipmunk.Superoptimize(ctx, chipmunk.MustParse("x5", "pkt.y = pkt.x * 5;"),
+				chipmunk.SuperoptOptions{Seed: 1})
+			return err
+		},
+		"approx": func(ctx context.Context) error {
+			_, err := chipmunk.SynthesizeApproximate(ctx, chipmunk.MustParse("mask", "pkt.out = pkt.a & 7;"),
+				chipmunk.GridSpec{Stages: 1, Width: 2, WordWidth: 10,
+					StatefulALU: chipmunk.StatefulALU{Kind: chipmunk.Counter}},
+				chipmunk.ApproxOptions{Care: care, Seed: 3})
+			return err
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			tr, m := chipmunk.NewTracer(), chipmunk.NewMetrics()
+			ctx, cancel := context.WithTimeout(chipmunk.WithMetrics(chipmunk.WithTracer(context.Background(), tr), m), time.Minute)
+			defer cancel()
+			if err := run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			recs := tr.Records()
+			if err := obs.CheckWellFormed(recs); err != nil {
+				t.Fatal(err)
+			}
+			spans := map[string]int64{}
+			for _, r := range recs {
+				if r.Type == obs.RecordStart {
+					spans[r.Name]++
+				}
+			}
+			for _, want := range []string{"cegis.iter", "synth", "verify"} {
+				if spans[want] == 0 {
+					t.Errorf("no %s span; spans: %v", want, spans)
+				}
+			}
+			if got := m.Counter("sat.solves").Value(); got == 0 || got != spans["sat.solve"] {
+				t.Errorf("sat.solves counter = %d, sat.solve spans = %d", got, spans["sat.solve"])
+			}
+		})
 	}
 }
 

@@ -8,10 +8,15 @@
 //
 // Example (the paper's Figure 1 specification):
 //
-//	echo 'pkt.y = pkt.x * 5;' | superopt
+//	$ echo 'pkt.y = pkt.x * 5;' | superopt
+//	minimal sequence: 2 instruction(s), found in 4ms
 //	  v1 = shli %x, 2
 //	  v2 = add v1, %x
 //	  %y <- v2
+//
+// Each length, from 0 up to -max-instrs, is one run of the CEGIS loop
+// that compiles Domino programs, over the SSA machine backend. Exit codes:
+// 0 found, 1 error, 2 timeout, 3 infeasible within -max-instrs.
 package main
 
 import (

@@ -158,16 +158,8 @@ func checkSymmetrySeam(t *testing.T, be backend.Backend, size, nf, ns int) {
 	if sb, ok := be.(backend.SymmetryBreaker); ok {
 		wantSym = sb.SymmetryBreaking()
 	}
-	b := circuit.New()
-	sk, err := be.NewSketch(b, size, nf, ns)
-	if err != nil {
-		t.Fatalf("%s: NewSketch: %v", be.Target(), err)
-	}
-	cnf := circuit.NewCNF(b, sat.New())
-	cnf.EnableGroups()
-	sk.AssertDomains(cnf)
 	gotSym := false
-	for _, g := range cnf.Groups() {
+	for _, g := range domainCNF(t, be, size, nf, ns, true).Groups() {
 		if g == circuit.GroupSymmetry {
 			gotSym = true
 		}
@@ -184,23 +176,7 @@ func checkSymmetrySeam(t *testing.T, be backend.Backend, size, nf, ns int) {
 // feasible path must not pay for, or be perturbed by, the machinery.
 func checkNamedGroups(t *testing.T, be backend.Backend, size, nf, ns int) {
 	t.Helper()
-	build := func(enable bool) (*circuit.CNF, error) {
-		b := circuit.New()
-		sk, err := be.NewSketch(b, size, nf, ns)
-		if err != nil {
-			return nil, err
-		}
-		cnf := circuit.NewCNF(b, sat.New())
-		if enable {
-			cnf.EnableGroups()
-		}
-		sk.AssertDomains(cnf)
-		return cnf, nil
-	}
-	gated, err := build(true)
-	if err != nil {
-		t.Fatalf("%s: NewSketch: %v", be.Target(), err)
-	}
+	gated := domainCNF(t, be, size, nf, ns, true)
 	groups := gated.Groups()
 	if len(groups) == 0 {
 		t.Fatalf("%s: AssertDomains emitted no named constraint groups", be.Target())
@@ -213,10 +189,7 @@ func checkNamedGroups(t *testing.T, be backend.Backend, size, nf, ns int) {
 	if got := len(gated.GroupAssumptions(groups)); got != len(groups) {
 		t.Errorf("%s: %d groups but %d assumption selectors", be.Target(), len(groups), got)
 	}
-	plain, err := build(false)
-	if err != nil {
-		t.Fatalf("%s: NewSketch: %v", be.Target(), err)
-	}
+	plain := domainCNF(t, be, size, nf, ns, false)
 	// The gated build adds exactly one selector variable per group and one
 	// extra literal per gated clause; the ungated build must match a
 	// groups-free build exactly, which it does trivially since SetGroup is
@@ -227,6 +200,23 @@ func checkNamedGroups(t *testing.T, be backend.Backend, size, nf, ns int) {
 		t.Errorf("%s: ungated build has %d vars, gated %d — selectors missing?",
 			be.Target(), plain.NumVars(), gated.NumVars())
 	}
+}
+
+// domainCNF builds a fresh sketch of be and asserts its domain
+// constraints, with named constraint groups enabled when gated.
+func domainCNF(t *testing.T, be backend.Backend, size, nf, ns int, gated bool) *circuit.CNF {
+	t.Helper()
+	b := circuit.New()
+	sk, err := be.NewSketch(b, size, nf, ns)
+	if err != nil {
+		t.Fatalf("%s: NewSketch: %v", be.Target(), err)
+	}
+	cnf := circuit.NewCNF(b, sat.New())
+	if gated {
+		cnf.EnableGroups()
+	}
+	sk.AssertDomains(cnf)
+	return cnf
 }
 
 // checkInventory verifies HoleCount against HoleInventory and basic

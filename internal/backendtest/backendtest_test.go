@@ -5,9 +5,11 @@ import (
 
 	"repro/internal/alu"
 	"repro/internal/bpf"
+	"repro/internal/parser"
 	"repro/internal/pisa"
 	"repro/internal/programs"
 	"repro/internal/sketch"
+	"repro/internal/superopt"
 )
 
 // conformanceFixture is marple_new_flow: the cheapest stateful corpus
@@ -39,6 +41,13 @@ func TestBPFConformance(t *testing.T) {
 	b, constBits := fixture(t)
 	be := bpf.Backend{Spec: bpf.MachineSpec{ConstBits: constBits}}
 	Run(t, be, b.Parse(), 5, 1)
+}
+
+// TestSuperoptConformance runs the battery against the §5.1 SSA machine
+// on the paper's Figure 1 specification, which needs two instructions.
+// The machine is stateless, so the corpus fixture does not fit it.
+func TestSuperoptConformance(t *testing.T) {
+	Run(t, superopt.Backend{}, parser.MustParse("x5", "pkt.y = pkt.x * 5;"), 2, 1)
 }
 
 // TestPISASymmetryConformance runs the full battery against the grid
@@ -83,4 +92,10 @@ func TestBPFInfeasibleConformance(t *testing.T) {
 	b, constBits := fixture(t)
 	be := bpf.Backend{Spec: bpf.MachineSpec{ConstBits: constBits}}
 	RunInfeasible(t, be, b.Parse(), 3, 1)
+}
+
+// TestSuperoptInfeasibleConformance: a general multiply does not fit two
+// instructions of a machine without a multiplier.
+func TestSuperoptInfeasibleConformance(t *testing.T) {
+	RunInfeasible(t, superopt.Backend{}, parser.MustParse("xy", "pkt.r = pkt.x * pkt.y;"), 2, 1)
 }

@@ -139,23 +139,9 @@ func (s *Sketch) PublishMetrics(reg *obs.Registry) {
 	}
 }
 
-// widen zero-extends or truncates a hole word to the datapath width,
-// mirroring how narrow instruction fields feed a wide datapath.
-func widen(w word.Width, hw circuit.Word) circuit.Word {
-	out := make(circuit.Word, w)
-	for i := 0; i < int(w); i++ {
-		if i < len(hw) {
-			out[i] = hw[i]
-		} else {
-			out[i] = circuit.False
-		}
-	}
-	return out
-}
-
 // holesAt returns the hole structure with every word adjusted to width w.
 func (s *Sketch) holesAt(w word.Width) *Holes[circuit.Word] {
-	return MapHoles(s.holes, func(hw circuit.Word) circuit.Word { return widen(w, hw) })
+	return MapHoles(s.holes, func(hw circuit.Word) circuit.Word { return circuit.Widen(w, hw) })
 }
 
 // Instantiate implements backend.Sketch: run the symbolic machine at

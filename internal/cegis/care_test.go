@@ -1,4 +1,4 @@
-package approx
+package cegis
 
 import (
 	"context"
@@ -6,13 +6,15 @@ import (
 	"time"
 
 	"repro/internal/alu"
+	"repro/internal/ast"
+	"repro/internal/bpf"
 	"repro/internal/interp"
 	"repro/internal/parser"
 	"repro/internal/pisa"
 	"repro/internal/word"
 )
 
-func grid(stages, width int) pisa.GridSpec {
+func careGrid(stages, width int) pisa.GridSpec {
 	return pisa.GridSpec{
 		Stages:       stages,
 		Width:        width,
@@ -22,7 +24,7 @@ func grid(stages, width int) pisa.GridSpec {
 	}
 }
 
-func synth(t *testing.T, src, care string, g pisa.GridSpec) *Result {
+func careSynth(t *testing.T, src, care string, g pisa.GridSpec) *Result {
 	t.Helper()
 	prog := parser.MustParse("t", src)
 	opts := Options{Seed: 3}
@@ -42,23 +44,23 @@ func synth(t *testing.T, src, care string, g pisa.GridSpec) *Result {
 	return res
 }
 
-// TestApproximationSavesAStage is the package's headline: pkt.out = pkt.a & 7
+// TestApproximationSavesAStage is §5.2's headline: pkt.out = pkt.a & 7
 // needs two stages exactly (materialize the mask, then AND), but under the
 // care predicate 0 <= pkt.a < 8 (comparisons are signed, so both bounds
 // matter) the AND is the identity and fits one stage.
 func TestApproximationSavesAStage(t *testing.T) {
 	src := "pkt.out = pkt.a & 7;"
 
-	exact := synth(t, src, "", grid(1, 2))
+	exact := careSynth(t, src, "", careGrid(1, 2))
 	if exact.Feasible {
 		t.Fatal("mask-AND should not fit one stage exactly")
 	}
-	exact2 := synth(t, src, "", grid(2, 2))
+	exact2 := careSynth(t, src, "", careGrid(2, 2))
 	if !exact2.Feasible {
 		t.Fatal("mask-AND should fit two stages exactly")
 	}
 
-	approxRes := synth(t, src, "pkt.a >= 0 && pkt.a < 8", grid(1, 2))
+	approxRes := careSynth(t, src, "pkt.a >= 0 && pkt.a < 8", careGrid(1, 2))
 	if !approxRes.Feasible {
 		t.Fatal("under care 0<=a<8 one stage must suffice")
 	}
@@ -90,7 +92,7 @@ func TestApproximationSavesAStage(t *testing.T) {
 // spec on all inputs, same as plain CEGIS.
 func TestNilCareIsExact(t *testing.T) {
 	src := "pkt.out = pkt.a + 3;"
-	res := synth(t, src, "", grid(1, 2))
+	res := careSynth(t, src, "", careGrid(1, 2))
 	if !res.Feasible {
 		t.Fatal("increment should fit")
 	}
@@ -119,12 +121,12 @@ func TestCareOverState(t *testing.T) {
 	// but if we only care about s == 0, s stays 0 and the constant 0
 	// update works.
 	src := "s = s + s;"
-	g := grid(1, 1)
-	exact := synth(t, src, "", g)
+	g := careGrid(1, 1)
+	exact := careSynth(t, src, "", g)
 	if exact.Feasible {
 		t.Fatal("doubling should not fit the counter ALU exactly")
 	}
-	res := synth(t, src, "s == 0", g)
+	res := careSynth(t, src, "s == 0", g)
 	if !res.Feasible {
 		t.Fatal("under care s==0 the zero counter suffices")
 	}
@@ -142,7 +144,7 @@ func TestUnsatisfiableEvenApproximately(t *testing.T) {
 	// equals cond-style mappings, so use a harder care set {1,2,3}:
 	// outputs 1,4,9 with 9 wrapping — no single ALU op yields that.
 	src := "pkt.out = pkt.a * pkt.a;"
-	res := synth(t, src, "pkt.a == 1 || pkt.a == 2 || pkt.a == 3", grid(1, 2))
+	res := careSynth(t, src, "pkt.a == 1 || pkt.a == 2 || pkt.a == 3", careGrid(1, 2))
 	if res.Feasible {
 		// Verify the claim before failing the test: maybe some op does
 		// interpolate; then this test's premise is wrong and we check
@@ -159,21 +161,85 @@ func TestUnsatisfiableEvenApproximately(t *testing.T) {
 
 func TestCapacityPrecheck(t *testing.T) {
 	src := "pkt.a = pkt.b + pkt.c;"
-	res := synth(t, src, "", grid(1, 2)) // 3 fields, 2 containers
+	res := careSynth(t, src, "", careGrid(1, 2)) // 3 fields, 2 containers
 	if res.Feasible {
 		t.Fatal("capacity violation should be infeasible")
 	}
 }
 
-func TestTimeoutReported(t *testing.T) {
+func TestCareTimeoutReported(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	prog := parser.MustParse("t", "pkt.out = pkt.a + 1;")
-	res, err := Synthesize(ctx, prog, grid(1, 2), Options{})
+	res, err := Synthesize(ctx, prog, careGrid(1, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.TimedOut {
 		t.Fatal("cancelled context must report TimedOut")
+	}
+}
+
+// TestCareOnBPF: care is a property of the loop, not the target. On the
+// register machine (two-operand ALU ops) the exact mask-AND needs a move
+// and an AND; under 0 <= a < 8 the move alone suffices.
+func TestCareOnBPF(t *testing.T) {
+	prog := parser.MustParse("t", "pkt.out = pkt.a & 7;")
+	care, err := parser.ParseExpr("pkt.a >= 0 && pkt.a < 8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	run := func(slots int, care ast.Expr) *Result {
+		t.Helper()
+		res, err := SynthesizeOn(ctx, prog, bpf.Backend{}, slots, Options{Seed: 3, Care: care})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TimedOut {
+			t.Fatalf("%d slots timed out", slots)
+		}
+		return res
+	}
+	if run(1, nil).Feasible {
+		t.Fatal("mask-AND should not fit one slot exactly")
+	}
+	if !run(2, nil).Feasible {
+		t.Fatal("mask-AND should fit two slots exactly")
+	}
+	res := run(1, care)
+	if !res.Feasible {
+		t.Fatal("under care 0<=a<8 one slot must suffice")
+	}
+	for a := uint64(0); a < 8; a++ {
+		out, _ := res.TargetConfig.Exec(map[string]uint64{"a": a}, nil)
+		if out["out"] != a {
+			t.Fatalf("caring input %d: out=%d want %d\n%s", a, out["out"], a, res.TargetConfig)
+		}
+	}
+}
+
+// TestCareMustNameProgramVariables: a care predicate that reads a field or
+// state variable the program never mentions is rejected before any
+// solving, instead of silently reading 0.
+func TestCareMustNameProgramVariables(t *testing.T) {
+	prog := parser.MustParse("t", "int s = 0; s = s + pkt.a;")
+	for _, c := range []string{"pkt.b < 8", "s + t", "pkt.a < 8 && pkt.s == 0"} {
+		care, err := parser.ParseExpr(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Synthesize(context.Background(), prog, careGrid(1, 1), Options{Care: care})
+		if err == nil {
+			t.Errorf("care %q: want an error, got %+v", c, res)
+		}
+	}
+	care, err := parser.ParseExpr("pkt.a < 8 && s == 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Synthesize(context.Background(), prog, careGrid(1, 1), Options{Care: care}); err != nil {
+		t.Fatalf("care over the program's own variables: %v", err)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -88,6 +89,13 @@ type Options struct {
 	// and echoed on the Result so the winner can be reported. Empty
 	// outside portfolio mode.
 	Member string
+	// Care weakens the correctness condition to the paper's §5.2
+	// approximate synthesis: a Domino expression over the program's
+	// packet fields and state variables, and only inputs where it is
+	// nonzero must be mapped correctly. Synthesis drops tests outside
+	// the care set and verification only searches inside it. nil means
+	// exact synthesis.
+	Care ast.Expr
 }
 
 func (o *Options) synthWidth() word.Width {
@@ -307,6 +315,7 @@ type loop struct {
 	// two coincide.
 	tiers    []word.Width
 	pending  []test
+	care     ast.Expr
 	res      *Result
 	reg      *obs.Registry
 	gated    bool
@@ -318,7 +327,10 @@ type loop struct {
 // backend's capacity pre-check rejects the program.
 func newLoop(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options, res *Result, gated bool) (*loop, error) {
 	vars := prog.Variables()
-	l := &loop{prog: prog, fields: vars.Fields, states: vars.States, res: res, reg: obs.MetricsFrom(ctx), gated: gated}
+	if err := checkCare(opts.Care, vars); err != nil {
+		return nil, err
+	}
+	l := &loop{prog: prog, fields: vars.Fields, states: vars.States, care: opts.Care, res: res, reg: obs.MetricsFrom(ctx), gated: gated}
 
 	// Capacity pre-check: a definitive "does not fit" from the backend
 	// (more fields than containers/registers) is a clean infeasible
@@ -463,7 +475,7 @@ func (l *loop) synthesize(ctx context.Context, iter int) (sat.Status, bool, erro
 func (l *loop) verify(ctx context.Context, iter int, cfg backend.Config, w word.Width) verifyOutcome {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "verify")
-	vo := l.ws.verify(ctx, l.prog, cfg, l.fields, l.states, w)
+	vo := l.ws.verify(ctx, l.prog, l.care, cfg, l.fields, l.states, w)
 	l.res.VerifyConflicts += vo.stats.Conflicts
 	l.account(vo.stats, vo.clauses, vo.gates)
 	l.endPhase(span, iter, "verify", phaseOutcome(vo.verified, vo.timedOut), vo.stats.Conflicts, start,
@@ -473,30 +485,36 @@ func (l *loop) verify(ctx context.Context, iter int, cfg backend.Config, w word.
 
 // encode asserts one concrete test: instantiate the datapath at the
 // test's width with constant inputs and assert equality with the
-// specification's concrete outputs. A gated loop puts each output's
-// assertion in that output's group, so an UNSAT core can blame
+// specification's concrete outputs. A test outside the care set is
+// dropped: correctness is not required there. A gated loop puts each
+// output's assertion in that output's group, so an UNSAT core can blame
 // individual packet-field and state-variable computations — which map
 // back to the statements assigning them.
 //
-// Every canonical variable is materialized in the snapshot first. State
-// entries absent from the input would otherwise diverge: the datapath
-// side reads a missing map key as 0, while the interpreter seeds the
-// variable from the program's Init declaration — yielding a constraint
-// pipeline(0) == spec(Init) that contradicts later counterexamples and
-// drives synthesis to a bogus UNSAT for any program with a nonzero
-// initializer. Feasibility is a property of the transfer function over
+// Every canonical variable is materialized in the snapshot first, at
+// width w. State entries absent from the input would otherwise diverge:
+// the datapath side reads a missing map key as 0, while the interpreter
+// seeds the variable from the program's Init declaration — yielding a
+// constraint pipeline(0) == spec(Init) that contradicts later
+// counterexamples and drives synthesis to a bogus UNSAT for any program
+// with a nonzero initializer. Feasibility is a property of the transfer function over
 // free state inputs (exactly how verify encodes it); Init only sets a
 // register's deployed initial contents.
 func (l *loop) encode(t test) error {
 	x, w, b := t.x.Clone(), t.w, l.b
 	for _, f := range l.fields {
-		if _, ok := x.Pkt[f]; !ok {
-			x.Pkt[f] = 0
-		}
+		x.Pkt[f] = w.Trunc(x.Pkt[f])
 	}
 	for _, s := range l.states {
-		if _, ok := x.State[s]; !ok {
-			x.State[s] = 0
+		x.State[s] = w.Trunc(x.State[s])
+	}
+	if l.care != nil {
+		c, err := arith.EvalExpr[uint64](arith.Conc{W: w}, l.care, arith.Env[uint64]{Pkt: x.Pkt, State: x.State})
+		if err != nil {
+			return err
+		}
+		if c == 0 {
+			return nil // a don't-care input
 		}
 	}
 	specOut, err := interp.MustNew(w).Run(l.prog, x)
@@ -505,11 +523,11 @@ func (l *loop) encode(t test) error {
 	}
 	fw := make([]circuit.Word, len(l.fields))
 	for i, f := range l.fields {
-		fw[i] = b.ConstWord(w.Trunc(x.Pkt[f]), w)
+		fw[i] = b.ConstWord(x.Pkt[f], w)
 	}
 	sw := make([]circuit.Word, len(l.states))
 	for i, s := range l.states {
-		sw[i] = b.ConstWord(w.Trunc(x.State[s]), w)
+		sw[i] = b.ConstWord(x.State[s], w)
 	}
 	outF, outS := l.sk.Instantiate(w, fw, sw)
 	for i, f := range l.fields {
@@ -592,9 +610,9 @@ func newVerifier() *verifier {
 }
 
 // verify searches for an input on which the configured machine and the
-// specification disagree at width w. It returns the counterexample if one
-// exists.
-func (v *verifier) verify(ctx context.Context, prog *ast.Program, cfg backend.Config, fields, states []string, w word.Width) verifyOutcome {
+// specification disagree at width w and, when care is non-nil, care is
+// nonzero. It returns the counterexample if one exists.
+func (v *verifier) verify(ctx context.Context, prog *ast.Program, care ast.Expr, cfg backend.Config, fields, states []string, w word.Width) verifyOutcome {
 	v.b.Reset()
 	v.s.Reset()
 	v.cnf.Reset()
@@ -640,6 +658,15 @@ func (v *verifier) verify(ctx context.Context, prog *ast.Program, cfg backend.Co
 		solver.SetStop(fn)
 	}
 	cnf.AssertNot(equal)
+	if care != nil {
+		// Don't-care inputs cannot refute. Like the spec, the predicate
+		// was already evaluated concretely during synthesis.
+		careW, err := arith.EvalExpr[circuit.Word](cc, care, env)
+		if err != nil {
+			panic(fmt.Sprintf("cegis: care encoding failed: %v", err))
+		}
+		cnf.Assert(b.NonZero(careW))
+	}
 	st, delta, timedOut := solveTraced(ctx, solver, "verify")
 	out := verifyOutcome{stats: delta, gates: b.NumGates(), clauses: cnf.NumClauses()}
 	if timedOut {
@@ -706,6 +733,26 @@ func contextStop(ctx context.Context) func() bool {
 			return false
 		}
 	}
+}
+
+// checkCare rejects a care predicate that reads a packet field or state
+// variable the program never mentions: such a read is always 0, so a
+// misspelled name would silently turn the predicate into a constant.
+func checkCare(care ast.Expr, vars ast.Vars) error {
+	var err error
+	ast.WalkExprs([]ast.Stmt{&ast.If{Cond: care}}, func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.Field:
+			if !slices.Contains(vars.Fields, e.Name) && err == nil {
+				err = fmt.Errorf("cegis: care predicate reads %s, which the program never mentions", e)
+			}
+		case *ast.State:
+			if !slices.Contains(vars.States, e.Name) && err == nil {
+				err = fmt.Errorf("cegis: care predicate reads state %s, which the program never mentions", e)
+			}
+		}
+	})
+	return err
 }
 
 // randomSnapshot draws a uniformly random input at width w.

@@ -136,6 +136,19 @@ func ConstBit(v bool) Bit {
 	return False
 }
 
+// Widen zero-extends or truncates a hole word to the datapath width w,
+// mirroring how narrow configuration fields feed a wide datapath.
+func Widen(w word.Width, hw Word) Word {
+	out := make(Word, w)
+	for i := range out {
+		out[i] = False
+		if i < len(hw) {
+			out[i] = hw[i]
+		}
+	}
+	return out
+}
+
 // ConstWord returns the w-bit constant with value v (truncated).
 func (b *Builder) ConstWord(v uint64, w word.Width) Word {
 	bits := make(Word, w)

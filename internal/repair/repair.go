@@ -15,7 +15,7 @@
 // equivalent to the original by exhaustive simulation at a small bit width
 // before it is reported, so a hint never changes the program's meaning
 // (the paper's "semantic distance" is held at zero; lossy repairs are
-// approx's territory).
+// approximate synthesis's territory, cegis.Options.Care).
 //
 // The rewrite database is intentionally the mirror image of
 // internal/mutate's operators: what the mutation generator scrambles, the

@@ -158,23 +158,9 @@ func holeClass(name string) string {
 // truncation commutes with the arithmetic they feed.
 func (s *Sketch) MinWidth() word.Width { return s.minWidth }
 
-// widen zero-extends or truncates a hole word to the datapath width,
-// mirroring how narrow configuration registers feed a wide datapath.
-func widen(w word.Width, hw circuit.Word) circuit.Word {
-	out := make(circuit.Word, w)
-	for i := 0; i < int(w); i++ {
-		if i < len(hw) {
-			out[i] = hw[i]
-		} else {
-			out[i] = circuit.False
-		}
-	}
-	return out
-}
-
 // holesAt returns the hole structure with every word adjusted to width w.
 func (s *Sketch) holesAt(w word.Width) *pisa.Holes[circuit.Word] {
-	return pisa.MapHoles(s.holes, func(hw circuit.Word) circuit.Word { return widen(w, hw) })
+	return pisa.MapHoles(s.holes, func(hw circuit.Word) circuit.Word { return circuit.Widen(w, hw) })
 }
 
 // Instantiate runs the symbolic datapath at width w over the given field
@@ -263,7 +249,7 @@ func (s *Sketch) AssertDomains(cnf *circuit.CNF) {
 		}
 		sum := b.ConstWord(0, cw)
 		for i := 0; i < g.Stages; i++ {
-			sum = b.AddW(sum, widen(cw, s.holes.SaluActive[i][j]))
+			sum = b.AddW(sum, circuit.Widen(cw, s.holes.SaluActive[i][j]))
 		}
 		cnf.Assert(b.EqW(sum, b.ConstWord(1, cw)))
 	}
@@ -276,14 +262,14 @@ func (s *Sketch) AssertDomains(cnf *circuit.CNF) {
 		for f := range s.holes.FieldAlloc {
 			sum := b.ConstWord(0, cw)
 			for c := range s.holes.FieldAlloc[f] {
-				sum = b.AddW(sum, widen(cw, s.holes.FieldAlloc[f][c]))
+				sum = b.AddW(sum, circuit.Widen(cw, s.holes.FieldAlloc[f][c]))
 			}
 			cnf.Assert(b.EqW(sum, b.ConstWord(1, cw)))
 		}
 		for c := 0; c < g.Width; c++ {
 			sum := b.ConstWord(0, cw)
 			for f := range s.holes.FieldAlloc {
-				sum = b.AddW(sum, widen(cw, s.holes.FieldAlloc[f][c]))
+				sum = b.AddW(sum, circuit.Widen(cw, s.holes.FieldAlloc[f][c]))
 			}
 			cnf.Assert(b.UltW(sum, b.ConstWord(2, cw)))
 		}

@@ -30,10 +30,10 @@ type BPFMinimizeResult struct {
 // MinimizeBPF is the K2-style instruction-count minimizer for the BPF
 // backend: starting from a feasible configuration, it re-synthesizes the
 // program at successively smaller slot counts until CEGIS proves the next
-// size infeasible or the context expires. Unlike the NPU superoptimizer
-// above — which deepens upward from 1 because it starts from a
-// specification — this descends from a witness, so every intermediate
-// answer is a usable program and interruption is safe.
+// size infeasible or the context expires. Unlike Superoptimize — which
+// deepens upward from length 0 because it starts from a specification —
+// this descends from a witness, so every intermediate answer is a usable
+// program and interruption is safe.
 //
 // The machine spec (registers, immediate width, opcode mask) is taken
 // from the input configuration so the minimized program runs on the same

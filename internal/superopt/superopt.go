@@ -11,8 +11,9 @@
 // reads two earlier values (packet-header inputs or prior results, chosen
 // by operand-selector holes) or an immediate, and produces one new value.
 // The objective function is the paper's default — minimum instruction
-// count — searched by iterative deepening over sequence length, with each
-// length decided by the same CEGIS/SAT substrate Chipmunk uses.
+// count — searched by iterative deepening over sequence length. The
+// machine is a third backend.Backend (Backend), so each length is decided
+// by the same CEGIS loop Chipmunk's pipeline synthesis runs.
 //
 // The classic demonstration is the paper's own Figure 1: the specification
 // x*5 superoptimizes to the two-instruction sequence
@@ -31,10 +32,9 @@ import (
 
 	"repro/internal/arith"
 	"repro/internal/ast"
+	"repro/internal/backend"
+	"repro/internal/cegis"
 	"repro/internal/circuit"
-	"repro/internal/interp"
-	"repro/internal/pisa"
-	"repro/internal/sat"
 	"repro/internal/word"
 )
 
@@ -80,22 +80,41 @@ func (o Opcode) String() string {
 const opcodeBits = 4
 
 // Instr is one synthesized instruction. A and B index the value numbering:
-// values 0..nInputs-1 are the packet-field inputs in specification order,
-// value nInputs+k is instruction k's result.
+// values 0..nInputs-1 are the packet-field inputs in Sequence.Inputs
+// order, value nInputs+k is instruction k's result.
 type Instr struct {
 	Op   Opcode
 	A, B int
 	Imm  uint64
 }
 
-// render formats the instruction with value names.
-func (ins Instr) render(idx, nInputs int, inputs []string) string {
-	name := func(v int) string {
-		if v < nInputs {
-			return "%" + inputs[v]
-		}
-		return fmt.Sprintf("v%d", v-nInputs+1)
+// Sequence is a superoptimized program: instructions plus, for every
+// packet field, the value index holding its output. It implements
+// backend.Config for the SSA machine (Backend).
+type Sequence struct {
+	// Inputs are the packet fields in value-numbering order (sorted, as
+	// ast.Program.Variables reports them).
+	Inputs []string
+	Instrs []Instr
+	// OutVals[i] is the value index (input or instruction result) that
+	// carries field Inputs[i]'s output; OutVals[i] == i leaves the field
+	// unchanged.
+	OutVals []int
+	// Width is the datapath width the sequence runs at.
+	Width word.Width
+}
+
+// valueName names value v: an input field or an instruction result.
+func (s *Sequence) valueName(v int) string {
+	if v < len(s.Inputs) {
+		return "%" + s.Inputs[v]
 	}
+	return fmt.Sprintf("v%d", v-len(s.Inputs)+1)
+}
+
+// render formats instruction idx of s with value names.
+func (s *Sequence) render(idx int) string {
+	ins, name := s.Instrs[idx], s.valueName
 	dst := fmt.Sprintf("v%d", idx+1)
 	switch ins.Op {
 	case OpNot, OpNeg:
@@ -111,51 +130,101 @@ func (ins Instr) render(idx, nInputs int, inputs []string) string {
 	}
 }
 
-// Sequence is a superoptimized program: instructions plus, for every
-// specification output, the value index holding it.
-type Sequence struct {
-	Inputs  []string
-	Outputs []string
-	Instrs  []Instr
-	// OutVals[i] is the value index (input or instruction result) that
-	// carries output i.
-	OutVals []int
-}
-
-// String renders assembly-like text.
+// String renders assembly-like text. Fields the sequence leaves unchanged
+// get no output route.
 func (s *Sequence) String() string {
 	var sb strings.Builder
-	for i, ins := range s.Instrs {
-		fmt.Fprintf(&sb, "  %s\n", ins.render(i, len(s.Inputs), s.Inputs))
+	for i := range s.Instrs {
+		fmt.Fprintf(&sb, "  %s\n", s.render(i))
 	}
-	for i, o := range s.Outputs {
-		v := s.OutVals[i]
-		name := "v0"
-		if v < len(s.Inputs) {
-			name = "%" + s.Inputs[v]
-		} else {
-			name = fmt.Sprintf("v%d", v-len(s.Inputs)+1)
+	for i, f := range s.Inputs {
+		if v := s.OutVals[i]; v != i {
+			fmt.Fprintf(&sb, "  %%%s <- %s\n", f, s.valueName(v))
 		}
-		fmt.Fprintf(&sb, "  %%%s <- %s\n", o, name)
 	}
 	return sb.String()
 }
 
-// Exec runs the sequence concretely at width w.
-func (s *Sequence) Exec(w word.Width, in map[string]uint64) map[string]uint64 {
-	a := arith.Conc{W: w}
-	vals := make([]uint64, 0, len(s.Inputs)+len(s.Instrs))
-	for _, f := range s.Inputs {
-		vals = append(vals, w.Trunc(in[f]))
+// Target implements backend.Config.
+func (s *Sequence) Target() string { return "superopt" }
+
+// Vars implements backend.Config: the machine is stateless.
+func (s *Sequence) Vars() (fields, states []string) { return s.Inputs, nil }
+
+// RunWidth implements backend.Config.
+func (s *Sequence) RunWidth() word.Width { return s.Width }
+
+// WithRunWidth implements backend.Config.
+func (s *Sequence) WithRunWidth(w word.Width) backend.Config {
+	c := *s
+	c.Width = w
+	return &c
+}
+
+// Validate implements backend.Config: opcodes are in range, every operand
+// reads an earlier value (SSA), and every field has an output route.
+func (s *Sequence) Validate() error {
+	if err := s.Width.Validate(); err != nil {
+		return err
 	}
+	if len(s.OutVals) != len(s.Inputs) {
+		return fmt.Errorf("superopt: %d output routes for %d fields", len(s.OutVals), len(s.Inputs))
+	}
+	for k, ins := range s.Instrs {
+		n := len(s.Inputs) + k
+		if ins.Op < 0 || ins.Op >= numOpcodes {
+			return fmt.Errorf("superopt: instruction %d: opcode %d out of range", k+1, int(ins.Op))
+		}
+		if ins.A < 0 || ins.A >= n || ins.B < 0 || ins.B >= n {
+			return fmt.Errorf("superopt: instruction %d reads value %d or %d, not defined before it", k+1, ins.A, ins.B)
+		}
+	}
+	for i, v := range s.OutVals {
+		if v < 0 || v >= len(s.Inputs)+len(s.Instrs) {
+			return fmt.Errorf("superopt: field %s routed from undefined value %d", s.Inputs[i], v)
+		}
+	}
+	return nil
+}
+
+// NewExecutor implements backend.Config: it runs the sequence over field
+// values in Inputs order, without allocating.
+func (s *Sequence) NewExecutor() func(fields, states []uint64) {
+	w := s.Width
+	var a arith.Arith[uint64] = arith.Conc{W: w}
+	vals := make([]uint64, len(s.Inputs)+len(s.Instrs))
+	return func(fields, _ []uint64) {
+		for i := range s.Inputs {
+			vals[i] = w.Trunc(fields[i])
+		}
+		for k, ins := range s.Instrs {
+			vals[len(s.Inputs)+k] = evalInstr(a, ins.Op, vals[ins.A], vals[ins.B], w.Trunc(ins.Imm))
+		}
+		for i, v := range s.OutVals {
+			fields[i] = vals[v]
+		}
+	}
+}
+
+// Exec implements backend.Config via the shared map adapter.
+func (s *Sequence) Exec(pkt, state map[string]uint64) (outPkt, outState map[string]uint64) {
+	return backend.Exec(s, pkt, state)
+}
+
+// Symbolic implements backend.Config: the sequence at width w over free
+// field words, every hole lifted to a constant — the machine side of the
+// CEGIS verification query.
+func (s *Sequence) Symbolic(b *circuit.Builder, w word.Width, fields, _ []circuit.Word) (outFields, outStates []circuit.Word) {
+	a := arith.Circ{B: b, W: w}
+	vals := append([]circuit.Word{}, fields...)
 	for _, ins := range s.Instrs {
-		vals = append(vals, evalInstr(a, ins.Op, vals[ins.A], vals[ins.B], a.ConstInt(int64(ins.Imm))))
+		vals = append(vals, evalInstr[circuit.Word](a, ins.Op, vals[ins.A], vals[ins.B], b.ConstWord(ins.Imm, w)))
 	}
-	out := map[string]uint64{}
-	for i, o := range s.Outputs {
-		out[o] = vals[s.OutVals[i]]
+	outFields = make([]circuit.Word, len(s.OutVals))
+	for i, v := range s.OutVals {
+		outFields[i] = vals[v]
 	}
-	return out
+	return outFields, nil
 }
 
 // evalInstr is the single source of truth for instruction semantics,
@@ -229,40 +298,6 @@ func (o *Options) maxInstrs() int {
 	return o.MaxInstrs
 }
 
-func (o *Options) immBits() int {
-	if o.ImmBits == 0 {
-		return 4
-	}
-	return o.ImmBits
-}
-
-func (o *Options) synthWidth() word.Width {
-	w := o.SynthWidth
-	if w == 0 {
-		w = 4
-	}
-	if w < opcodeBits {
-		w = opcodeBits
-	}
-	// Operand selectors must not truncate either; callers with many
-	// values get clamped in synthesize().
-	return w
-}
-
-func (o *Options) verifyWidth() word.Width {
-	if o.VerifyWidth == 0 {
-		return 10
-	}
-	return o.VerifyWidth
-}
-
-func (o *Options) maxIters() int {
-	if o.MaxIters == 0 {
-		return 64
-	}
-	return o.MaxIters
-}
-
 // Result reports a superoptimization run.
 type Result struct {
 	Feasible bool
@@ -278,36 +313,33 @@ type Result struct {
 // Superoptimize finds a minimal instruction sequence implementing the
 // program, which must be a pure packet transaction: field assignments only,
 // no state (processor code here is stateless per-packet computation; the
-// stateful story is Chipmunk's pipeline synthesis).
+// stateful story is Chipmunk's pipeline synthesis). Each length, from 0
+// up, is one cegis.SynthesizeOn run on Backend.
 func Superoptimize(ctx context.Context, prog *ast.Program, opts Options) (*Result, error) {
 	start := time.Now()
-	vars := prog.Variables()
-	if len(vars.States) > 0 {
+	if len(prog.Variables().States) > 0 {
 		return nil, fmt.Errorf("superopt: program uses switch state; superoptimization targets stateless packet code")
 	}
-	// Outputs: every field the program writes. Inputs: every field it
-	// reads (written-only fields still enter the value numbering as
-	// inputs, matching header layout).
-	inputs := vars.Fields
-	outputs := writtenFields(prog)
-	if len(outputs) == 0 {
+	if !writesField(prog.Stmts) {
 		return nil, fmt.Errorf("superopt: program writes no packet fields")
 	}
 
+	be := Backend{ImmBits: opts.ImmBits}
+	copts := cegis.Options{SynthWidth: opts.SynthWidth, VerifyWidth: opts.VerifyWidth, MaxIters: opts.MaxIters, Seed: opts.Seed}
 	res := &Result{}
 	for n := 0; n <= opts.maxInstrs(); n++ {
 		res.Probes = append(res.Probes, n)
-		seq, feasible, timedOut, err := synthesize(ctx, prog, inputs, outputs, n, opts)
+		sr, err := cegis.SynthesizeOn(ctx, prog, be, n, copts)
 		if err != nil {
 			return nil, err
 		}
-		if timedOut {
+		if sr.TimedOut {
 			res.TimedOut = true
 			break
 		}
-		if feasible {
+		if sr.Feasible {
 			res.Feasible = true
-			res.Seq = seq
+			res.Seq = sr.TargetConfig.(*Sequence)
 			res.Length = n
 			break
 		}
@@ -316,266 +348,19 @@ func Superoptimize(ctx context.Context, prog *ast.Program, opts Options) (*Resul
 	return res, nil
 }
 
-func writtenFields(prog *ast.Program) []string {
-	seen := map[string]bool{}
-	var out []string
-	var walk func([]ast.Stmt)
-	walk = func(ss []ast.Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *ast.Assign:
-				if s.LHS.IsField && !seen[s.LHS.Name] {
-					seen[s.LHS.Name] = true
-					out = append(out, s.LHS.Name)
-				}
-			case *ast.If:
-				walk(s.Then)
-				walk(s.Else)
+// writesField reports whether any statement assigns a packet field.
+func writesField(stmts []ast.Stmt) bool {
+	for _, s := range stmts {
+		switch s := s.(type) {
+		case *ast.Assign:
+			if s.LHS.IsField {
+				return true
+			}
+		case *ast.If:
+			if writesField(s.Then) || writesField(s.Else) {
+				return true
 			}
 		}
 	}
-	walk(prog.Stmts)
-	return out
-}
-
-// slotHoles are one instruction slot's synthesis holes.
-type slotHoles struct {
-	op, a, bSel, imm circuit.Word
-}
-
-// synthesize runs CEGIS for a fixed sequence length.
-func synthesize(ctx context.Context, prog *ast.Program, inputs, outputs []string, n int, opts Options) (*Sequence, bool, bool, error) {
-	b := circuit.New()
-
-	selBits := pisa.MuxBits(len(inputs) + n)
-	outBits := pisa.MuxBits(len(inputs) + n)
-
-	slots := make([]slotHoles, n)
-	for k := range slots {
-		slots[k] = slotHoles{
-			op:   b.InputWord(fmt.Sprintf("op%d", k), opcodeBits),
-			a:    b.InputWord(fmt.Sprintf("a%d", k), word.Width(selBits)),
-			bSel: b.InputWord(fmt.Sprintf("b%d", k), word.Width(selBits)),
-			imm:  b.InputWord(fmt.Sprintf("imm%d", k), word.Width(opts.immBits())),
-		}
-	}
-	outSel := make([]circuit.Word, len(outputs))
-	for i := range outputs {
-		outSel[i] = b.InputWord(fmt.Sprintf("out%d", i), word.Width(outBits))
-	}
-
-	solver := sat.New()
-	cnf := circuit.NewCNF(b, solver)
-
-	// Domain constraints: opcode and selector ranges; operand selectors
-	// must reference earlier values only (SSA).
-	assertLess := func(hw circuit.Word, m int) {
-		if m < 1<<uint(len(hw)) {
-			cnf.Assert(b.UltW(hw, b.ConstWord(uint64(m), word.Width(len(hw)))))
-		}
-	}
-	for k, s := range slots {
-		assertLess(s.op, int(numOpcodes))
-		assertLess(s.a, len(inputs)+k)
-		assertLess(s.bSel, len(inputs)+k)
-	}
-	for i := range outputs {
-		assertLess(outSel[i], len(inputs)+n)
-	}
-
-	// Instantiate the sketch at a width; control holes must not truncate.
-	sw := opts.synthWidth()
-	if min := word.Width(maxInt(selBits, outBits, opcodeBits)); sw < min {
-		sw = min
-	}
-	vw := opts.verifyWidth()
-	if vw < sw {
-		vw = sw
-	}
-
-	widen := func(hw circuit.Word, w word.Width) circuit.Word {
-		out := make(circuit.Word, w)
-		for i := range out {
-			if i < len(hw) {
-				out[i] = hw[i]
-			} else {
-				out[i] = circuit.False
-			}
-		}
-		return out
-	}
-
-	// build runs the symbolic machine over concrete or symbolic inputs.
-	build := func(w word.Width, inVals []circuit.Word) []circuit.Word {
-		a := arith.Circ{B: b, W: w}
-		vals := append([]circuit.Word{}, inVals...)
-		for _, s := range slots {
-			op := widen(s.op, w)
-			x := selectVal[circuit.Word](a, widen(s.a, w), vals)
-			y := selectVal[circuit.Word](a, widen(s.bSel, w), vals)
-			imm := widen(s.imm, w)
-			// Mux over all opcodes.
-			var choices []circuit.Word
-			for o := Opcode(0); o < numOpcodes; o++ {
-				choices = append(choices, evalInstr[circuit.Word](a, o, x, y, imm))
-			}
-			vals = append(vals, selectVal[circuit.Word](a, op, choices))
-		}
-		outs := make([]circuit.Word, len(outputs))
-		for i := range outputs {
-			outs[i] = selectVal[circuit.Word](a, widen(outSel[i], w), vals)
-		}
-		return outs
-	}
-
-	addTest := func(x interp.Snapshot, w word.Width) error {
-		ii := interp.MustNew(w)
-		spec, err := ii.Run(prog, x)
-		if err != nil {
-			return err
-		}
-		inVals := make([]circuit.Word, len(inputs))
-		for i, f := range inputs {
-			inVals[i] = b.ConstWord(w.Trunc(x.Pkt[f]), w)
-		}
-		outs := build(w, inVals)
-		for i, o := range outputs {
-			cnf.Assert(b.EqW(outs[i], b.ConstWord(spec.Pkt[o], w)))
-		}
-		return nil
-	}
-	// Seed tests.
-	seedRng := newRng(opts.Seed)
-	if err := addTest(interp.NewSnapshot(), sw); err != nil {
-		return nil, false, false, err
-	}
-	for i := 0; i < 2; i++ {
-		x := interp.NewSnapshot()
-		for _, f := range inputs {
-			x.Pkt[f] = sw.Trunc(seedRng.next())
-		}
-		if err := addTest(x, sw); err != nil {
-			return nil, false, false, err
-		}
-	}
-
-	for iter := 0; iter < opts.maxIters(); iter++ {
-		st, timedOut := solveChunked(ctx, solver)
-		if timedOut {
-			return nil, false, true, nil
-		}
-		if st == sat.Unsat {
-			return nil, false, false, nil
-		}
-		seq := extract(cnf, slots, outSel, inputs, outputs)
-		cex, ok, timedOut, err := verifySeq(ctx, prog, seq, vw)
-		if err != nil {
-			return nil, false, false, err
-		}
-		if timedOut {
-			return nil, false, true, nil
-		}
-		if ok {
-			return seq, true, false, nil
-		}
-		if err := addTest(cex, vw); err != nil {
-			return nil, false, false, err
-		}
-	}
-	return nil, false, false, fmt.Errorf("superopt: CEGIS did not converge at length %d", n)
-}
-
-func extract(cnf *circuit.CNF, slots []slotHoles, outSel []circuit.Word, inputs, outputs []string) *Sequence {
-	seq := &Sequence{Inputs: inputs, Outputs: outputs}
-	for _, s := range slots {
-		seq.Instrs = append(seq.Instrs, Instr{
-			Op:  Opcode(cnf.WordValue(s.op)),
-			A:   int(cnf.WordValue(s.a)),
-			B:   int(cnf.WordValue(s.bSel)),
-			Imm: cnf.WordValue(s.imm),
-		})
-	}
-	for _, o := range outSel {
-		seq.OutVals = append(seq.OutVals, int(cnf.WordValue(o)))
-	}
-	return seq
-}
-
-// verifySeq checks the candidate against the spec for all inputs at width
-// w via SAT.
-func verifySeq(ctx context.Context, prog *ast.Program, seq *Sequence, w word.Width) (interp.Snapshot, bool, bool, error) {
-	b := circuit.New()
-	a := arith.Circ{B: b, W: w}
-	env := arith.NewEnv[circuit.Word]()
-	inWords := make([]circuit.Word, len(seq.Inputs))
-	for i, f := range seq.Inputs {
-		inWords[i] = b.InputWord(f, w)
-		env.Pkt[f] = inWords[i]
-	}
-	specEnv, err := arith.EvalProgram[circuit.Word](a, prog, env)
-	if err != nil {
-		return interp.Snapshot{}, false, false, err
-	}
-	vals := append([]circuit.Word{}, inWords...)
-	for _, ins := range seq.Instrs {
-		imm := b.ConstWord(ins.Imm, w)
-		vals = append(vals, evalInstr[circuit.Word](a, ins.Op, vals[ins.A], vals[ins.B], imm))
-	}
-	equal := circuit.True
-	for i, o := range seq.Outputs {
-		equal = b.And(equal, b.EqW(vals[seq.OutVals[i]], specEnv.Pkt[o]))
-	}
-	solver := sat.New()
-	cnf := circuit.NewCNF(b, solver)
-	cnf.AssertNot(equal)
-	st, timedOut := solveChunked(ctx, solver)
-	if timedOut {
-		return interp.Snapshot{}, false, true, nil
-	}
-	if st == sat.Unsat {
-		return interp.Snapshot{}, true, false, nil
-	}
-	cex := interp.NewSnapshot()
-	for i, f := range seq.Inputs {
-		cex.Pkt[f] = cnf.WordValue(inWords[i])
-	}
-	return cex, false, false, nil
-}
-
-func solveChunked(ctx context.Context, s *sat.Solver) (sat.Status, bool) {
-	for {
-		select {
-		case <-ctx.Done():
-			return sat.Unknown, true
-		default:
-		}
-		st, err := s.SolveWithBudget(2000)
-		if err == nil {
-			return st, false
-		}
-	}
-}
-
-func maxInt(xs ...int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// rng is a tiny splitmix64 so the package does not depend on math/rand
-// ordering guarantees.
-type rng struct{ s uint64 }
-
-func newRng(seed int64) *rng { return &rng{s: uint64(seed)*2654435769 + 1} }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return false
 }

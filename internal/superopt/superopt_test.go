@@ -30,23 +30,24 @@ func checkSeq(t *testing.T, src string, seq *Sequence) {
 	prog := parser.MustParse("t", src)
 	const w = word.Width(6)
 	in := interp.MustNew(w)
+	exec := seq.WithRunWidth(w).NewExecutor()
 	n := len(seq.Inputs)
 	counts := make([]uint64, n)
+	got := make([]uint64, n)
 	for {
 		snap := interp.NewSnapshot()
-		pkt := map[string]uint64{}
 		for i, f := range seq.Inputs {
 			snap.Pkt[f] = counts[i]
-			pkt[f] = counts[i]
 		}
 		want, err := in.Run(prog, snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := seq.Exec(w, pkt)
-		for _, o := range seq.Outputs {
-			if got[o] != want.Pkt[o] {
-				t.Fatalf("input %v: %s = %d, want %d\n%s", counts, o, got[o], want.Pkt[o], seq)
+		copy(got, counts)
+		exec(got, nil)
+		for i, o := range seq.Inputs {
+			if got[i] != want.Pkt[o] {
+				t.Fatalf("input %v: %s = %d, want %d\n%s", counts, o, got[i], want.Pkt[o], seq)
 			}
 		}
 		i := 0

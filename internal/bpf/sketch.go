@@ -76,6 +76,7 @@ type Sketch struct {
 	NumStates int
 
 	holes     *Holes[circuit.Word]
+	views     map[word.Width]*Holes[circuit.Word]
 	holeNames []string
 	holeBits  []int
 	minWidth  word.Width
@@ -140,8 +141,19 @@ func (s *Sketch) PublishMetrics(reg *obs.Registry) {
 }
 
 // holesAt returns the hole structure with every word adjusted to width w.
+// A CEGIS run instantiates at no more than two widths, so each view is
+// built once and cached; Widen creates no gates, so caching leaves the
+// circuit's numbering unchanged.
 func (s *Sketch) holesAt(w word.Width) *Holes[circuit.Word] {
-	return MapHoles(s.holes, func(hw circuit.Word) circuit.Word { return circuit.Widen(w, hw) })
+	if h, ok := s.views[w]; ok {
+		return h
+	}
+	h := MapHoles(s.holes, func(hw circuit.Word) circuit.Word { return circuit.Widen(w, hw) })
+	if s.views == nil {
+		s.views = map[word.Width]*Holes[circuit.Word]{}
+	}
+	s.views[w] = h
+	return h
 }
 
 // Instantiate implements backend.Sketch: run the symbolic machine at

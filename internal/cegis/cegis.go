@@ -36,6 +36,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/arith"
@@ -260,6 +261,7 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 	if l == nil {
 		return res, nil
 	}
+	defer l.release()
 	v, cfg, err := l.run(ctx, opts.maxIters())
 	switch {
 	case err != nil:
@@ -296,20 +298,19 @@ type test struct {
 	w word.Width
 }
 
-// loop is the state of one CEGIS run: the sketch, the incremental
-// synthesis solver, the verification workspace and the tests waiting to
-// be encoded. SynthesizeOn and the forensics rerun (explainOn) drive the
-// same loop. A gated loop tags each test's output constraints with that
-// output's group, solves under every group's assumption and logs a
-// timeline; nothing else differs.
+// loop is the state of one CEGIS run: the sketch, the two leased
+// workspaces and the tests waiting to be encoded. SynthesizeOn and the
+// forensics rerun (explainOn) drive the same loop. A gated loop tags each
+// test's output constraints with that output's group, solves under every
+// group's assumption and logs a timeline; nothing else differs.
 type loop struct {
 	prog           *ast.Program
 	fields, states []string
-	b              *circuit.Builder
 	sk             backend.Sketch
-	solver         *sat.Solver
-	cnf            *circuit.CNF
-	ws             *verifier
+	// syn holds the sketch's circuit and the incremental synthesis
+	// solver; ver is reset before every verification query. Both are
+	// leased in newLoop and go back to the pool on release.
+	syn, ver *workspace
 	// tiers are the verification widths in query order: the synthesis
 	// width, then the verification width, or the latter alone when the
 	// two coincide.
@@ -347,26 +348,27 @@ func newLoop(ctx context.Context, prog *ast.Program, be backend.Backend, size in
 		return nil, nil
 	}
 
-	l.b = circuit.New()
-	if l.sk, err = be.NewSketch(l.b, size, len(l.fields), len(l.states)); err != nil {
+	l.syn, l.ver = leaseWorkspace(), leaseWorkspace()
+	_, span := obs.StartSpan(ctx, "cegis.sketch")
+	if l.sk, err = be.NewSketch(l.syn.b, size, len(l.fields), len(l.states)); err != nil {
+		span.End(obs.String("outcome", "error"))
+		l.release()
 		return nil, err
 	}
 	_, res.HoleBits = l.sk.HoleCount()
 	l.sk.PublishMetrics(l.reg)
 
-	l.solver = sat.New()
 	// Attach the cancellation hook before any clause is loaded: AddClause
 	// runs top-level unit propagation, so loading must respect the context
 	// just like in-search propagation does.
 	if fn := contextStop(ctx); fn != nil {
-		l.solver.SetStop(fn)
+		l.syn.s.SetStop(fn)
 	}
-	l.cnf = circuit.NewCNF(l.b, l.solver)
 	if gated {
-		l.cnf.EnableGroups()
+		l.syn.cnf.EnableGroups()
 	}
-	l.sk.AssertDomains(l.cnf)
-	l.ws = newVerifier()
+	l.sk.AssertDomains(l.syn.cnf)
+	span.End()
 
 	// Figure 3: initialize X to random inputs (plus all-zeros, which pins
 	// down constant-output components cheaply). The synthesis width is
@@ -384,6 +386,13 @@ func newLoop(ctx context.Context, prog *ast.Program, be backend.Backend, size in
 		l.pending = append(l.pending, test{randomSnapshot(rng, sw, l.fields, l.states), sw})
 	}
 	return l, nil
+}
+
+// release returns the loop's workspaces to the pool. The loop must not be
+// used afterwards.
+func (l *loop) release() {
+	l.syn.release()
+	l.ver.release()
 }
 
 // run iterates until a verdict other than refined, or until maxIters
@@ -425,7 +434,9 @@ func (l *loop) iterate(ctx context.Context, iter int) (verdict, backend.Config, 
 		return infeasible, nil, nil
 	}
 	vw := l.tiers[len(l.tiers)-1]
-	cfg := l.sk.Extract(l.cnf, l.fields, l.states, vw)
+	_, span := obs.StartSpan(ctx, "cegis.extract")
+	cfg := l.sk.Extract(l.syn.cnf, l.fields, l.states, vw)
+	span.End()
 
 	// --- Verification phase (Equation 3), narrow tier first ---
 	for _, w := range l.tiers {
@@ -462,11 +473,11 @@ func (l *loop) synthesize(ctx context.Context, iter int) (sat.Status, bool, erro
 	if l.gated {
 		// Groups only ever grow (per-output groups are reused across
 		// tests), so the assumption set is recomputed per iteration.
-		assume = l.cnf.GroupAssumptions(l.cnf.Groups())
+		assume = l.syn.cnf.GroupAssumptions(l.syn.cnf.Groups())
 	}
-	st, d, timeout := solveTraced(ctx, l.solver, "synth", assume...)
+	st, d, timeout := solveTraced(ctx, l.syn.s, "synth", assume...)
 	l.res.SynthConflicts += d.Conflicts
-	l.account(d, l.cnf.NumClauses(), l.b.NumGates())
+	l.account(d, l.syn.cnf.NumClauses(), l.syn.b.NumGates())
 	l.endPhase(span, iter, "synth", phaseOutcome(st == sat.Unsat, timeout), d.Conflicts, start)
 	return st, timeout, nil
 }
@@ -475,7 +486,7 @@ func (l *loop) synthesize(ctx context.Context, iter int) (sat.Status, bool, erro
 func (l *loop) verify(ctx context.Context, iter int, cfg backend.Config, w word.Width) verifyOutcome {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "verify")
-	vo := l.ws.verify(ctx, l.prog, l.care, cfg, l.fields, l.states, w)
+	vo := l.ver.verify(ctx, l.prog, l.care, cfg, l.fields, l.states, w)
 	l.res.VerifyConflicts += vo.stats.Conflicts
 	l.account(vo.stats, vo.clauses, vo.gates)
 	l.endPhase(span, iter, "verify", phaseOutcome(vo.verified, vo.timedOut), vo.stats.Conflicts, start,
@@ -501,7 +512,7 @@ func (l *loop) verify(ctx context.Context, iter int, cfg backend.Config, w word.
 // free state inputs (exactly how verify encodes it); Init only sets a
 // register's deployed initial contents.
 func (l *loop) encode(t test) error {
-	x, w, b := t.x.Clone(), t.w, l.b
+	x, w, b, cnf := t.x.Clone(), t.w, l.syn.b, l.syn.cnf
 	for _, f := range l.fields {
 		x.Pkt[f] = w.Trunc(x.Pkt[f])
 	}
@@ -532,17 +543,17 @@ func (l *loop) encode(t test) error {
 	outF, outS := l.sk.Instantiate(w, fw, sw)
 	for i, f := range l.fields {
 		if l.gated {
-			l.cnf.SetGroup(circuit.GroupPktField(f))
+			cnf.SetGroup(circuit.GroupPktField(f))
 		}
-		l.cnf.Assert(b.EqW(outF[i], b.ConstWord(specOut.Pkt[f], w)))
+		cnf.Assert(b.EqW(outF[i], b.ConstWord(specOut.Pkt[f], w)))
 	}
 	for i, s := range l.states {
 		if l.gated {
-			l.cnf.SetGroup(circuit.GroupStateVar(s))
+			cnf.SetGroup(circuit.GroupStateVar(s))
 		}
-		l.cnf.Assert(b.EqW(outS[i], b.ConstWord(specOut.State[s], w)))
+		cnf.Assert(b.EqW(outS[i], b.ConstWord(specOut.State[s], w)))
 	}
-	l.cnf.SetGroup("")
+	cnf.SetGroup("")
 	l.res.Tests++
 	l.reg.Counter("cegis.tests").Add(1)
 	return nil
@@ -593,30 +604,56 @@ type verifyOutcome struct {
 	clauses int
 }
 
-// verifier is the verification workspace of one CEGIS run: a circuit
-// builder, a SAT solver and their encoder, reset before every query. Each
-// query is independent — the state a Reset restores is exactly a fresh
-// New — so reuse changes no search decision; it only stops every
-// iteration from re-growing the gate, clause and watch arrays from zero.
-type verifier struct {
+// workspace is a circuit builder, a SAT solver and the encoder between
+// them. Every CEGIS run leases two from one process-wide pool: one holds
+// the sketch and the incremental synthesis solver, the other serves the
+// verification queries, each of which starts from a reset. A workspace
+// goes back to the pool reset, so the next lease starts in exactly the
+// state New produces — same gate, variable and clause numbering, no hook
+// or group left over — and changes no search decision; it only keeps the
+// gate, clause, watch and hash arrays one run grew for the next.
+//
+// The pool is a sync.Pool, so retention is bounded by the garbage
+// collector: a workspace idle for two collections is dropped.
+type workspace struct {
 	b   *circuit.Builder
 	s   *sat.Solver
 	cnf *circuit.CNF
 }
 
-func newVerifier() *verifier {
+var workspaces = sync.Pool{New: func() any {
 	b, s := circuit.New(), sat.New()
-	return &verifier{b: b, s: s, cnf: circuit.NewCNF(b, s)}
+	return &workspace{b: b, s: s, cnf: circuit.NewCNF(b, s)}
+}}
+
+// leaseWorkspace takes a reset workspace from the pool.
+func leaseWorkspace() *workspace { return workspaces.Get().(*workspace) }
+
+// reset restores the state New produces, keeping capacity. It drops the
+// solver's stop and progress hooks and the encoder's groups.
+func (ws *workspace) reset() {
+	ws.b.Reset()
+	ws.s.Reset()
+	ws.cnf.Reset()
+}
+
+// release resets the workspace and returns it to the pool; a nil
+// workspace is ignored. The workspace must not be used afterwards.
+func (ws *workspace) release() {
+	if ws == nil {
+		return
+	}
+	ws.reset()
+	workspaces.Put(ws)
 }
 
 // verify searches for an input on which the configured machine and the
 // specification disagree at width w and, when care is non-nil, care is
-// nonzero. It returns the counterexample if one exists.
-func (v *verifier) verify(ctx context.Context, prog *ast.Program, care ast.Expr, cfg backend.Config, fields, states []string, w word.Width) verifyOutcome {
-	v.b.Reset()
-	v.s.Reset()
-	v.cnf.Reset()
-	b, solver, cnf := v.b, v.s, v.cnf
+// nonzero. It returns the counterexample if one exists. The query starts
+// from a reset, so queries are independent of each other.
+func (ws *workspace) verify(ctx context.Context, prog *ast.Program, care ast.Expr, cfg backend.Config, fields, states []string, w word.Width) verifyOutcome {
+	ws.reset()
+	b, solver, cnf := ws.b, ws.s, ws.cnf
 	cc := arith.Circ{B: b, W: w}
 
 	fw := make([]circuit.Word, len(fields))

@@ -76,7 +76,8 @@ type ExplainResult struct {
 // initial tests; its synthesis solves run under group assumptions, so
 // its search, and the counterexamples it meets, may differ.
 func Explain(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options) (*ExplainResult, error) {
-	res, _, _, err := explainOn(ctx, prog, be, size, opts)
+	res, ws, err := explainOn(ctx, prog, be, size, opts)
+	ws.release()
 	return res, err
 }
 
@@ -91,13 +92,15 @@ func Explain(ctx context.Context, prog *ast.Program, be backend.Backend, size in
 // the audit passes or does not apply (capacity rejection, timeout, a
 // feasible rerun, or an incomplete minimization).
 func AuditCore(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options) (*ExplainResult, []string, error) {
-	res, solver, cnf, err := explainOn(ctx, prog, be, size, opts)
+	res, ws, err := explainOn(ctx, prog, be, size, opts)
+	defer ws.release()
 	if err != nil || res.CapacityExceeded || res.TimedOut || res.Feasible || !res.Minimal {
 		return res, nil, err
 	}
 	if len(res.Core) == 0 {
 		return res, []string{"minimal core is empty: the hard (ungrouped) clauses alone are unsatisfiable"}, nil
 	}
+	solver, cnf := ws.s, ws.cnf
 	var defects []string
 	st, timedOut := solveWithContext(ctx, solver, cnf.GroupAssumptions(res.Core)...)
 	if timedOut {
@@ -121,11 +124,12 @@ func AuditCore(ctx context.Context, prog *ast.Program, be backend.Backend, size 
 	return res, defects, nil
 }
 
-// explainOn is Explain's body; it additionally hands back the live solver
-// and gated CNF so AuditCore can run follow-up assumption solves against
-// the exact clause set the core was extracted from. Solver and cnf are
-// nil when the pass errored or was rejected before the encoding existed.
-func explainOn(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options) (*ExplainResult, *sat.Solver, *circuit.CNF, error) {
+// explainOn is Explain's body; it additionally hands back the synthesis
+// workspace, whose solver and gated CNF let AuditCore run follow-up
+// assumption solves against the exact clause set the core was extracted
+// from. The caller releases the workspace when done with it; it is nil
+// when the pass errored or was rejected before the encoding existed.
+func explainOn(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options) (*ExplainResult, *workspace, error) {
 	start := time.Now()
 	res := &ExplainResult{}
 	defer func() { res.Elapsed = time.Since(start) }()
@@ -136,20 +140,23 @@ func explainOn(ctx context.Context, prog *ast.Program, be backend.Backend, size 
 	ctx = obs.ContextWithMetrics(obs.ContextWithTracer(ctx, nil), nil)
 	l, err := newLoop(ctx, prog, be, size, opts, &Result{}, true)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if l == nil {
 		res.CapacityExceeded = true
-		return res, nil, nil, nil
+		return res, nil, nil
 	}
 	v, _, err := l.run(ctx, opts.maxIters())
+	ws := l.syn
+	l.ver.release()
 	if err != nil {
-		return nil, nil, nil, err
+		ws.release()
+		return nil, nil, err
 	}
 	res.Iters, res.Tests, res.Timeline = l.res.Iters, l.res.Tests, l.timeline
 	switch v {
 	case infeasible:
-		return res, l.solver, l.cnf, minimizeCore(ctx, res, l.solver, l.cnf)
+		return res, ws, minimizeCore(ctx, res, ws.s, ws.cnf)
 	case feasible:
 		res.Feasible = true
 	default:
@@ -157,7 +164,7 @@ func explainOn(ctx context.Context, prog *ast.Program, be backend.Backend, size 
 		// nothing to blame.
 		res.TimedOut = true
 	}
-	return res, l.solver, l.cnf, nil
+	return res, ws, nil
 }
 
 // minimizeCore shrinks the solver's UNSAT core to a minimal group set by

@@ -369,7 +369,7 @@ func Compile(ctx context.Context, prog *ast.Program, opts Options) (*Report, err
 				rep.Artifact = sol.BPF
 			}
 			if rep.Artifact != nil {
-				if err := crossCheck(prog, rep.Artifact, opts.Seed); err != nil {
+				if err := crossCheck(ctx, prog, rep.Artifact, opts.Seed); err != nil {
 					return nil, fmt.Errorf("core: %s: cached configuration: %w", prog.Name, err)
 				}
 			}
@@ -483,7 +483,7 @@ func attempt(ctx context.Context, prog *ast.Program, opts Options, stages int, c
 		if err := res.TargetConfig.Validate(); err != nil {
 			return dr, nil, fmt.Errorf("core: synthesized configuration invalid: %w", err)
 		}
-		if err := crossCheck(prog, res.TargetConfig, copts.Seed); err != nil {
+		if err := crossCheck(ctx, prog, res.TargetConfig, copts.Seed); err != nil {
 			return dr, nil, fmt.Errorf("core: %s: %w", prog.Name, err)
 		}
 	}
@@ -664,8 +664,10 @@ func searchPortfolio(ctx context.Context, prog *ast.Program, opts Options, rep *
 // backend; this guards the toolchain itself (sketch extraction, simulator)
 // against bugs, in the spirit of translation validation. It runs on every
 // compile and cache hit, so it draws far fewer inputs than the full
-// oracle (backend.CheckEquivalence).
-func crossCheck(prog *ast.Program, cfg backend.Config, seed int64) error {
+// oracle (backend.CheckEquivalence). It runs in a "core.crosscheck" span.
+func crossCheck(ctx context.Context, prog *ast.Program, cfg backend.Config, seed int64) error {
+	_, span := obs.StartSpan(ctx, "core.crosscheck")
+	defer span.End()
 	fields, states := cfg.Vars()
 	rng := rand.New(rand.NewSource(seed + 1))
 	if m := backend.Probe(cfg.RunWidth(), len(fields)+len(states), rng, 64, backend.NewChecker(prog, cfg).Compare); m != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -90,6 +91,8 @@ func TestProfileRollupMatchesReportEffort(t *testing.T) {
 				}
 			} else if p.PortfolioMembers != 0 || p.Winner != "" {
 				t.Errorf("sequential compile reports portfolio fields: %+v", p)
+			} else {
+				checkOtherParts(t, p)
 			}
 		})
 	}
@@ -140,7 +143,28 @@ func TestCompileWritesHistory(t *testing.T) {
 	if warm.Samples["cached"] != 1 {
 		t.Errorf("warm samples: %v", warm.Samples)
 	}
+	if warm.Profile == nil || warm.Profile.CrossCheckMS <= 0 || warm.Profile.SketchMS != 0 {
+		t.Errorf("a cache hit cross-checks its stored configuration and builds no sketch: %+v", warm.Profile)
+	}
+	checkOtherParts(t, *cold.Profile)
 	if cold.Meta.Bench != "core-test" || cold.Meta.RunID == "" {
 		t.Errorf("cold meta: %+v", cold.Meta)
+	}
+}
+
+// checkOtherParts pins a searched sequential compile's layers: sketch
+// build, model extraction and cross-check are all timed, they fit inside
+// OtherMS, and synth + verify + lookup + other is the compile's wall time.
+func checkOtherParts(t *testing.T, p obs.CompileProfile) {
+	t.Helper()
+	if p.SketchMS <= 0 || p.ExtractMS <= 0 || p.CrossCheckMS <= 0 {
+		t.Errorf("untimed layer outside the CEGIS phases: sketch=%v extract=%v crosscheck=%v",
+			p.SketchMS, p.ExtractMS, p.CrossCheckMS)
+	}
+	if parts := p.SketchMS + p.ExtractMS + p.CrossCheckMS; parts > p.OtherMS+1e-9 {
+		t.Errorf("sketch+extract+crosscheck = %v ms exceeds OtherMS %v", parts, p.OtherMS)
+	}
+	if sum := p.SynthMS + p.VerifyMS + p.CacheLookupMS + p.OtherMS; math.Abs(sum-p.TotalMS) > 1e-6 {
+		t.Errorf("synth+verify+lookup+other = %v ms, TotalMS %v", sum, p.TotalMS)
 	}
 }

@@ -33,6 +33,11 @@ const ProfileVersion = 1
 //     (parsing adjacency, canonicalization, config extraction,
 //     cross-checking, scheduler idle); clamped at zero in portfolio mode
 //     where the phase sums overlap in time.
+//   - SketchMS, ExtractMS and CrossCheckMS are parts of OtherMS, summed
+//     over the "cegis.sketch" (sketch build and domain constraints),
+//     "cegis.extract" (model extraction) and "core.crosscheck" spans. On
+//     the sequential path they add up to at most OtherMS; the rest of
+//     OtherMS stays unattributed.
 type CompileProfile struct {
 	Version int    `json:"version"`
 	Program string `json:"program,omitempty"`
@@ -51,6 +56,9 @@ type CompileProfile struct {
 	EncodeMS      float64 `json:"encode_ms"`
 	CacheLookupMS float64 `json:"cache_lookup_ms"`
 	OtherMS       float64 `json:"other_ms"`
+	SketchMS      float64 `json:"sketch_ms"`
+	ExtractMS     float64 `json:"extract_ms"`
+	CrossCheckMS  float64 `json:"crosscheck_ms"`
 
 	// Solver effort (sums over every sat.solve span).
 	Attempts     int   `json:"attempts"`
@@ -272,6 +280,12 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 			}
 		case "solcache.lookup":
 			p.CacheLookupMS += durMS(n.dur())
+		case "cegis.sketch":
+			p.SketchMS += durMS(n.dur())
+		case "cegis.extract":
+			p.ExtractMS += durMS(n.dur())
+		case "core.crosscheck":
+			p.CrossCheckMS += durMS(n.dur())
 		}
 	}
 	p.Winner = winner

@@ -212,3 +212,57 @@ func TestProfileSamples(t *testing.T) {
 		}
 	}
 }
+
+// The spans outside every CEGIS phase — sketch build, model extraction
+// and the cross-check — are parts of OtherMS: they sum to at most it, and
+// the phases, the lookup and OtherMS still add up to the compile's wall
+// time.
+//
+//	compile                [0, 100]
+//	  solcache.lookup      [0, 2]
+//	  attempt              [2, 80]
+//	    cegis.sketch       [3, 9]
+//	    cegis.iter         [9, 75]
+//	      synth            [9, 40]
+//	      cegis.extract    [40, 41]
+//	      verify           [41, 70]
+//	  core.crosscheck      [82, 86]
+func TestRollupCompileOtherParts(t *testing.T) {
+	ms := func(v int64) int64 { return v * 1e6 }
+	span := func(id, parent int64, name string, from, to int64) []Record {
+		return []Record{
+			{Type: RecordStart, ID: id, Parent: parent, Name: name, TimeNS: ms(from)},
+			{Type: RecordEnd, ID: id, TimeNS: ms(to)},
+		}
+	}
+	var recs []Record
+	for _, s := range [][]Record{
+		span(2, 1, "solcache.lookup", 0, 2),
+		span(4, 3, "cegis.sketch", 3, 9),
+		span(6, 5, "synth", 9, 40),
+		span(7, 5, "cegis.extract", 40, 41),
+		span(8, 5, "verify", 41, 70),
+		span(5, 3, "cegis.iter", 9, 75),
+		span(3, 1, "attempt", 2, 80),
+		span(9, 1, "core.crosscheck", 82, 86),
+		span(1, 0, "compile", 0, 100),
+	} {
+		recs = append(recs, s...)
+	}
+	p, err := RollupCompile(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !near(p.SketchMS, 6) || !near(p.ExtractMS, 1) || !near(p.CrossCheckMS, 4) {
+		t.Errorf("sketch/extract/crosscheck = %v/%v/%v ms, want 6/1/4", p.SketchMS, p.ExtractMS, p.CrossCheckMS)
+	}
+	if !near(p.OtherMS, 38) { // 100-31-29-2
+		t.Errorf("OtherMS = %v, want 38", p.OtherMS)
+	}
+	if parts := p.SketchMS + p.ExtractMS + p.CrossCheckMS; parts > p.OtherMS {
+		t.Errorf("parts of OtherMS sum to %v, more than OtherMS %v", parts, p.OtherMS)
+	}
+	if sum := p.SynthMS + p.VerifyMS + p.CacheLookupMS + p.OtherMS; !near(sum, p.TotalMS) {
+		t.Errorf("synth+verify+lookup+other = %v, want TotalMS %v", sum, p.TotalMS)
+	}
+}

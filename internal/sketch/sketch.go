@@ -59,6 +59,7 @@ type Sketch struct {
 	NumStates int
 
 	holes     *pisa.Holes[circuit.Word] // words at natural hole width
+	views     map[word.Width]*pisa.Holes[circuit.Word]
 	holeBits  map[string]int
 	holeNames []string // deterministic order
 	minWidth  word.Width
@@ -159,8 +160,19 @@ func holeClass(name string) string {
 func (s *Sketch) MinWidth() word.Width { return s.minWidth }
 
 // holesAt returns the hole structure with every word adjusted to width w.
+// A CEGIS run instantiates at no more than two widths, so each view is
+// built once and cached; Widen creates no gates, so caching leaves the
+// circuit's numbering unchanged.
 func (s *Sketch) holesAt(w word.Width) *pisa.Holes[circuit.Word] {
-	return pisa.MapHoles(s.holes, func(hw circuit.Word) circuit.Word { return circuit.Widen(w, hw) })
+	if h, ok := s.views[w]; ok {
+		return h
+	}
+	h := pisa.MapHoles(s.holes, func(hw circuit.Word) circuit.Word { return circuit.Widen(w, hw) })
+	if s.views == nil {
+		s.views = map[word.Width]*pisa.Holes[circuit.Word]{}
+	}
+	s.views[w] = h
+	return h
 }
 
 // Instantiate runs the symbolic datapath at width w over the given field

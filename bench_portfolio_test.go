@@ -4,10 +4,9 @@
 // trajectory to compare against. Besides wall clock it records total
 // solver conflicts (sequential vs. the portfolio's sum across members,
 // wasted work included) — the price paid for the speedup — plus one cold
-// sequential compile whose deterministic effort counters are tracked
-// through the perf history.
+// sequential compile's effort counters.
 //
-// Smoke-run it the way CI does (quickstart example only):
+// Smoke-run it on the quickstart example only:
 //
 //	go test -run '^$' -bench 'BenchmarkPortfolio/sampling' -benchtime 1x .
 //
@@ -97,20 +96,6 @@ type portfolioBenchRow struct {
 	CexColdConflicts int64   `json:"cex_cold_conflicts"`
 }
 
-func (r portfolioBenchRow) samples() map[string]float64 {
-	return map[string]float64{
-		"sequential_ms":        r.SequentialMS,
-		"portfolio_ms":         r.PortfolioMS,
-		"speedup":              r.Speedup,
-		"sequential_conflicts": float64(r.SequentialConflicts),
-		"portfolio_conflicts":  float64(r.PortfolioConflicts),
-		"wasted_conflicts":     float64(r.WastedConflicts),
-		"cex_cold_ms":          r.CexColdMS,
-		"cex_cold_iters":       float64(r.CexColdIters),
-		"cex_cold_conflicts":   float64(r.CexColdConflicts),
-	}
-}
-
 func (c portfolioBenchCase) options() (*chipmunk.Program, chipmunk.Options, error) {
 	if c.Source == "" {
 		bench, err := chipmunk.BenchmarkByName(c.Name)
@@ -133,8 +118,6 @@ func (c portfolioBenchCase) options() (*chipmunk.Program, chipmunk.Options, erro
 }
 
 func BenchmarkPortfolio(b *testing.B) {
-	hist := perfhist.OpenFromEnv("BenchmarkPortfolio")
-	defer hist.Close()
 	var rows []portfolioBenchRow
 	for _, c := range portfolioBenchCases {
 		c := c
@@ -208,8 +191,7 @@ func BenchmarkPortfolio(b *testing.B) {
 					}
 				}
 				// One cold compile per iteration: the effort counters are
-				// deterministic at a fixed seed, so a single run is enough
-				// for the history to catch an effort regression.
+				// deterministic at a fixed seed, so a single run is enough.
 				r, d := runOne(opts)
 				if !r.Feasible {
 					b.Fatalf("%s: cold compile infeasible", c.Name)
@@ -221,7 +203,6 @@ func BenchmarkPortfolio(b *testing.B) {
 				}
 				row.IdenticalWork = row.PortfolioConflicts == row.SequentialConflicts &&
 					row.WastedConflicts == 0
-				hist.AppendSamples(c.Name, row.samples())
 			}
 			b.ReportMetric(row.SequentialMS, "seq-ms")
 			b.ReportMetric(row.PortfolioMS, "portfolio-ms")

@@ -56,7 +56,7 @@ func run() error {
 		explainEach = flag.Int("explain-every", 4, "audit infeasibility forensics (blame-set minimality under re-solve) on every n-th iteration's infeasible verdict (0 disables)")
 		bpfEach     = flag.Int("bpf-every", 0, "also compile every n-th iteration for the bpf register-machine target and oracle-check it (0 disables; meant for the nightly run)")
 		verbose     = flag.Bool("v", false, "log per-failure details and the final summary")
-		perfHistory = flag.String("perf-history", os.Getenv(perfhist.EnvVar),
+		perfHistory = flag.String("perf-history", "",
 			"append campaign effort (iterations/sec, per-oracle time split) to this JSONL performance history")
 	)
 	flag.Parse()

@@ -85,7 +85,7 @@ func run() error {
 		slowJob    = flag.Duration("slow-job", 30*time.Second, "capture a CPU profile for jobs still running after this long (requires -trace-dir; 0 disables)")
 		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 		logFormat  = flag.String("log-format", "text", "log encoding: text or json")
-		perfPath   = flag.String("perf-history", os.Getenv(perfhist.EnvVar),
+		perfPath   = flag.String("perf-history", "",
 			"append a per-phase compile profile for every job to this JSONL performance history")
 	)
 	flag.Parse()

@@ -1,36 +1,27 @@
-// Command chipreport reads the performance history (internal/perfhist) and
-// turns it into trend tables, run-to-run comparisons, and a CI regression
-// gate.
+// Command chipreport renders the performance history (internal/perfhist)
+// as trend tables.
 //
 // The history is append-only JSONL written by core.Compile (via
-// Options.History / CHIPMUNK_PERF_HISTORY), the benchmarks, chipmunkd, and
-// chipfuzz; the versioned BENCH_*.json envelopes read the same way, so a
-// committed baseline can be either shape.
+// Options.History), chipmunkd and chipfuzz (-perf-history), and
+// chipbench's traced daemon pass; the versioned BENCH_*.json envelopes
+// read the same way.
 //
 // Usage:
 //
-//	chipreport trend   -history PATH [-metric NAME] [-bench NAME]
-//	chipreport compare -baseline PATH -current PATH [-full] [gate flags]
-//	chipreport regress -baseline PATH -current PATH [gate flags]
+//	chipreport -history PATH [-metric NAME] [-bench NAME]
 //
-// PATH is a history file, a bench envelope, or a directory of either
-// (testdata/baselines/ in CI). trend renders one metric across runs
-// (oldest column first, labelled by short git SHA); with no -metric it
-// lists the metrics present. compare prints every overlapping metric and
-// always exits 0. regress prints the gated comparison and exits 1 when any
-// metric regressed — the median ratio exceeds -threshold in the worse
-// direction AND (with >= -min-samples per side) the Mann-Whitney U test
-// rejects at -alpha. Wall-clock metrics (*_ms, *_ns) are reported but not
-// gated unless -gate-ms is set: the deterministic solver-effort counters
-// (iterations, conflicts, decisions, propagations) are the cross-machine
-// signal. Exit status 2 means a usage error.
+// PATH is a history file, a bench envelope, or a directory of either. The
+// table shows one metric across runs (oldest column first, labelled by
+// short git SHA), each cell the per-run median; with no -metric it lists
+// the metrics present. -bench keeps only records from that benchmark.
+// Exit status 2 means a usage error or an unreadable or empty history.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/perfhist"
 )
@@ -40,179 +31,54 @@ func main() {
 }
 
 func run(args []string) int {
-	if len(args) == 0 {
-		usage()
-		return 2
-	}
-	cmd, rest := args[0], args[1:]
-	var err error
-	switch cmd {
-	case "trend":
-		err = runTrend(rest)
-	case "compare":
-		err = runCompare(rest, false)
-	case "regress":
-		var regressed bool
-		regressed, err = runRegress(rest)
-		if err == nil && regressed {
-			return 1
-		}
-	case "help", "-h", "--help":
-		usage()
+	fs := flag.NewFlagSet("chipreport", flag.ContinueOnError)
+	fs.SetOutput(os.Stderr)
+	history := fs.String("history", "", "history file or directory to read")
+	metric := fs.String("metric", "", "metric to tabulate (empty lists available metrics)")
+	bench := fs.String("bench", "", "restrict to records from this benchmark")
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
 		return 0
-	default:
-		fmt.Fprintf(os.Stderr, "chipreport: unknown command %q\n", cmd)
-		usage()
+	case err != nil:
+		return 2
+	case fs.NArg() != 0:
+		fmt.Fprintf(os.Stderr, "chipreport: unexpected arguments: %v\n", fs.Args())
+		return 2
+	case *history == "":
+		fmt.Fprintln(os.Stderr, "usage: chipreport -history PATH [-metric NAME] [-bench NAME]")
 		return 2
 	}
-	if err != nil {
-		// Exit 2 for any tool failure (bad flags, unreadable history) so a
-		// missing baseline never reads as a perf verdict — 1 is reserved
-		// for a genuine gate failure.
+	if err := report(*history, *metric, *bench); err != nil {
 		fmt.Fprintln(os.Stderr, "chipreport:", err)
 		return 2
 	}
 	return 0
 }
 
-type usageError string
-
-func (e usageError) Error() string { return string(e) }
-
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
-  chipreport trend   -history PATH [-metric NAME] [-bench NAME]
-  chipreport compare -baseline PATH -current PATH [-full] [gate flags]
-  chipreport regress -baseline PATH -current PATH [gate flags]
-
-gate flags:
-  -threshold R    median ratio counted as a regression (default 1.25)
-  -alpha A        Mann-Whitney significance level (default 0.05)
-  -min-samples N  per-side samples required for the U test (default 3;
-                  below it the gate decides on the median ratio alone)
-  -metrics a,b,c  gate exactly these metrics instead of the default policy
-  -gate-ms        also gate wall-clock (*_ms/*_ns) metrics
-`)
-}
-
-// gateFlags registers the shared gate-policy flags on fs.
-func gateFlags(fs *flag.FlagSet) *perfhist.GateOptions {
-	opts := &perfhist.GateOptions{}
-	fs.Float64Var(&opts.Threshold, "threshold", perfhist.DefaultThreshold, "median ratio counted as a regression")
-	fs.Float64Var(&opts.Alpha, "alpha", perfhist.DefaultAlpha, "Mann-Whitney significance level")
-	fs.IntVar(&opts.MinSamples, "min-samples", perfhist.DefaultMinSamples, "per-side samples required for the U test")
-	fs.BoolVar(&opts.GateWallClock, "gate-ms", false, "also gate wall-clock (*_ms/*_ns) metrics")
-	fs.Func("metrics", "comma-separated allowlist of gated metrics", func(s string) error {
-		for _, m := range strings.Split(s, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				opts.Metrics = append(opts.Metrics, m)
-			}
-		}
-		return nil
-	})
-	return opts
-}
-
-func parse(fs *flag.FlagSet, args []string) error {
-	fs.SetOutput(os.Stderr)
-	if err := fs.Parse(args); err != nil {
-		return usageError(err.Error())
-	}
-	if fs.NArg() != 0 {
-		return usageError(fmt.Sprintf("unexpected arguments: %v", fs.Args()))
-	}
-	return nil
-}
-
-func runTrend(args []string) error {
-	fs := flag.NewFlagSet("trend", flag.ContinueOnError)
-	history := fs.String("history", "", "history file or directory to read")
-	metric := fs.String("metric", "", "metric to tabulate (empty lists available metrics)")
-	bench := fs.String("bench", "", "restrict to records from this benchmark")
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	if *history == "" {
-		return usageError("trend: -history is required")
-	}
-	recs, err := perfhist.ReadPath(*history)
+func report(history, metric, bench string) error {
+	recs, err := perfhist.ReadPath(history)
 	if err != nil {
 		return err
 	}
-	recs = filterBench(recs, *bench)
-	if len(recs) == 0 {
-		return fmt.Errorf("no records in %s", *history)
+	if bench != "" {
+		var kept []perfhist.Record
+		for _, r := range recs {
+			if r.Meta.Bench == bench {
+				kept = append(kept, r)
+			}
+		}
+		recs = kept
 	}
-	if *metric == "" {
+	if len(recs) == 0 {
+		return fmt.Errorf("no records in %s", history)
+	}
+	if metric == "" {
 		fmt.Printf("%d records; metrics:\n", len(recs))
 		for _, m := range perfhist.Metrics(recs) {
 			fmt.Println("  " + m)
 		}
 		return nil
 	}
-	fmt.Print(perfhist.FormatTrend(recs, *metric))
+	fmt.Print(perfhist.FormatTrend(recs, metric))
 	return nil
-}
-
-// loadPair reads the -baseline and -current record sets.
-func loadPair(fs *flag.FlagSet, args []string) ([]perfhist.Record, []perfhist.Record, *perfhist.GateOptions, bool, error) {
-	baseline := fs.String("baseline", "", "baseline history file or directory")
-	current := fs.String("current", "", "current history file or directory")
-	full := fs.Bool("full", false, "show ungated metrics too")
-	opts := gateFlags(fs)
-	if err := parse(fs, args); err != nil {
-		return nil, nil, nil, false, err
-	}
-	if *baseline == "" || *current == "" {
-		return nil, nil, nil, false, usageError(fs.Name() + ": -baseline and -current are required")
-	}
-	base, err := perfhist.ReadPath(*baseline)
-	if err != nil {
-		return nil, nil, nil, false, fmt.Errorf("baseline: %w", err)
-	}
-	cur, err := perfhist.ReadPath(*current)
-	if err != nil {
-		return nil, nil, nil, false, fmt.Errorf("current: %w", err)
-	}
-	return base, cur, opts, *full, nil
-}
-
-func runCompare(args []string, gate bool) error {
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	base, cur, opts, full, err := loadPair(fs, args)
-	if err != nil {
-		return err
-	}
-	fmt.Print(perfhist.FormatComparison(perfhist.Compare(base, cur, *opts), full || !gate))
-	return nil
-}
-
-func runRegress(args []string) (bool, error) {
-	fs := flag.NewFlagSet("regress", flag.ContinueOnError)
-	base, cur, opts, full, err := loadPair(fs, args)
-	if err != nil {
-		return false, err
-	}
-	cmps := perfhist.Compare(base, cur, *opts)
-	fmt.Print(perfhist.FormatComparison(cmps, full))
-	regs := perfhist.Regressions(cmps)
-	if len(regs) == 0 {
-		fmt.Println("gate: PASS")
-		return false, nil
-	}
-	fmt.Printf("gate: FAIL — %d regressed metric(s)\n", len(regs))
-	return true, nil
-}
-
-func filterBench(recs []perfhist.Record, bench string) []perfhist.Record {
-	if bench == "" {
-		return recs
-	}
-	var out []perfhist.Record
-	for _, r := range recs {
-		if r.Meta.Bench == bench {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -1,17 +1,14 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/perfhist"
 )
 
-// writeHistory writes n records per program with scale applied to the
-// deterministic effort metrics — scale 2 is the "deliberately injected 2×
-// slowdown" acceptance fixture.
-func writeHistory(t *testing.T, path string, n int, scale float64) {
+// writeHistory writes n records per program.
+func writeHistory(t *testing.T, path string, n int) {
 	t.Helper()
 	s, err := perfhist.Open(path, "BenchmarkFixture")
 	if err != nil {
@@ -20,11 +17,8 @@ func writeHistory(t *testing.T, path string, n int, scale float64) {
 	for _, prog := range []string{"sampling", "stateful_fw"} {
 		for i := 0; i < n; i++ {
 			if err := s.AppendSamples(prog, map[string]float64{
-				"conflicts":    scale * (100 + float64(i)),
-				"decisions":    scale * (1000 + float64(i)),
-				"propagations": scale * (15000 + float64(i)),
-				"iters":        scale * 3,
-				"total_ms":     8 + float64(i), // wall clock held flat: not the signal
+				"conflicts": 100 + float64(i),
+				"total_ms":  8 + float64(i),
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -35,77 +29,31 @@ func writeHistory(t *testing.T, path string, n int, scale float64) {
 	}
 }
 
-func TestRegressCommand(t *testing.T) {
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.jsonl")
-	same := filepath.Join(dir, "same.jsonl")
-	slow := filepath.Join(dir, "slow.jsonl")
-	writeHistory(t, baseline, 4, 1)
-	writeHistory(t, same, 4, 1)
-	writeHistory(t, slow, 4, 2)
+func TestTrendCommand(t *testing.T) {
+	hist := filepath.Join(t.TempDir(), "hist.jsonl")
+	writeHistory(t, hist, 4)
 
-	if code := run([]string{"regress", "-baseline", baseline, "-current", same}); code != 0 {
-		t.Errorf("identical baselines: exit %d, want 0", code)
-	}
-	if code := run([]string{"regress", "-baseline", baseline, "-current", slow}); code != 1 {
-		t.Errorf("2x slowdown: exit %d, want 1", code)
-	}
-	// A looser threshold waves the same slowdown through.
-	if code := run([]string{"regress", "-baseline", baseline, "-current", slow, "-threshold", "3"}); code != 0 {
-		t.Errorf("threshold 3 vs 2x: exit %d, want 0", code)
-	}
-	// Narrowed to an unaffected metric, nothing fires.
-	if code := run([]string{"regress", "-baseline", baseline, "-current", same, "-metrics", "conflicts"}); code != 0 {
-		t.Errorf("allowlist on identical data: exit %d, want 0", code)
-	}
-}
-
-// The gate must also work against a directory of committed baselines —
-// the CI shape (testdata/baselines/).
-func TestRegressAgainstBaselineDir(t *testing.T) {
-	dir := t.TempDir()
-	baseDir := filepath.Join(dir, "baselines")
-	if err := os.MkdirAll(baseDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writeHistory(t, filepath.Join(baseDir, "fixture.jsonl"), 4, 1)
-	current := filepath.Join(dir, "current.jsonl")
-	writeHistory(t, current, 4, 2)
-
-	if code := run([]string{"regress", "-baseline", baseDir, "-current", current}); code != 1 {
-		t.Errorf("dir baseline vs 2x: exit %d, want 1", code)
-	}
-	if code := run([]string{"regress", "-baseline", baseDir, "-current", filepath.Join(baseDir, "fixture.jsonl")}); code != 0 {
-		t.Errorf("dir baseline vs itself: exit %d, want 0", code)
-	}
-}
-
-func TestCompareAndTrendCommands(t *testing.T) {
-	dir := t.TempDir()
-	hist := filepath.Join(dir, "hist.jsonl")
-	writeHistory(t, hist, 4, 1)
-
-	if code := run([]string{"compare", "-baseline", hist, "-current", hist}); code != 0 {
-		t.Errorf("compare: exit %d, want 0", code)
-	}
-	if code := run([]string{"trend", "-history", hist, "-metric", "conflicts"}); code != 0 {
+	if code := run([]string{"-history", hist, "-metric", "conflicts"}); code != 0 {
 		t.Errorf("trend: exit %d, want 0", code)
 	}
-	if code := run([]string{"trend", "-history", hist}); code != 0 {
+	if code := run([]string{"-history", hist}); code != 0 {
 		t.Errorf("trend metric listing: exit %d, want 0", code)
 	}
-	if code := run([]string{"trend", "-history", hist, "-bench", "NoSuchBench"}); code != 2 {
+	if code := run([]string{"-history", hist, "-bench", "BenchmarkFixture", "-metric", "conflicts"}); code != 0 {
+		t.Errorf("trend with matching filter: exit %d, want 0", code)
+	}
+	if code := run([]string{"-history", hist, "-bench", "NoSuchBench"}); code != 2 {
 		t.Errorf("trend with empty filter: exit %d, want 2", code)
 	}
 }
 
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
-		nil,
-		{"bogus"},
-		{"regress"}, // missing -baseline/-current
-		{"regress", "-baseline", "/nonexistent", "-current", "/nonexistent"},
-		{"trend"}, // missing -history
+		nil, // missing -history
+		{"-bogus"},
+		{"-history", "/nonexistent"},
+		{"-history", "/nonexistent", "extra"},
+		// A subcommand word is a stray argument.
 		{"trend", "-history", "/nonexistent"},
 	}
 	for _, args := range cases {
@@ -113,7 +61,7 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("run(%v) = %d, want 2", args, code)
 		}
 	}
-	if code := run([]string{"help"}); code != 0 {
-		t.Error("help must exit 0")
+	if code := run([]string{"-h"}); code != 0 {
+		t.Error("-h must exit 0")
 	}
 }

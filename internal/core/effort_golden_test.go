@@ -5,21 +5,23 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/programs"
+	"repro/internal/solcache"
 )
 
 // effortGoldenPath pins the per-depth search effort of every corpus
-// compile. Data-layout changes to the SAT solver or the circuit builder
-// (clause storage, structural hashing, workspace reuse) must not change a
-// single solver decision, so these counters must stay exactly equal. A
-// deliberate search change regenerates the file from the table this test
-// prints on mismatch.
+// compile, of the solver-bound bpf compiles and of a cache hit. Data-layout
+// changes to the SAT solver or the circuit builder (clause storage,
+// structural hashing, workspace reuse) must not change a single solver
+// decision, so these counters must stay exactly equal. A deliberate search
+// change regenerates the file from the table this test prints on mismatch.
 const effortGoldenPath = "testdata/search_effort.golden"
 
-// readEffortGolden returns the golden rows keyed by program name.
+// readEffortGolden returns the golden rows keyed by their first column.
 func readEffortGolden(t *testing.T) map[string][]string {
 	t.Helper()
 	raw, err := os.ReadFile(effortGoldenPath)
@@ -31,77 +33,216 @@ func readEffortGolden(t *testing.T) map[string][]string {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		name, _, _ := strings.Cut(line, " ")
-		want[name] = append(want[name], line)
+		key, _, _ := strings.Cut(line, " ")
+		want[key] = append(want[key], line)
 	}
 	return want
 }
 
-// checkEffort compiles b at the corpus options (seed 7) and compares its
-// per-depth CEGIS iterations, solver effort and peak CNF size with want.
-func checkEffort(t *testing.T, b programs.Benchmark, want []string) {
+// effortCase is one golden-pinned compile. Its rows are keyed by key.
+type effortCase struct {
+	key  string
+	b    programs.Benchmark
+	opts Options
+	// cached compiles b twice against one solution cache and pins the
+	// second compile, which must be a cache hit that searches nothing.
+	cached bool
+	// slow cases run only without -short.
+	slow bool
+}
+
+// bpfEffortCases are the bpf compiles of chipbench's solver-bound
+// workload: feasible at the hand-worked slot budgets (seed 1) and
+// infeasible below them (seed 7).
+var bpfEffortCases = []struct {
+	program string
+	slots   int
+	seed    int64
+}{
+	{"marple_new_flow", 5, 1},
+	{"stateful_fw", 6, 1},
+	{"marple_new_flow", 3, 7},
+	{"stateful_fw", 3, 7},
+	{"blue_decrease", 3, 7},
+}
+
+// effortCases lists every golden-pinned compile: the corpus at its corpus
+// options (seed 7), the bpf cases at corpus options with a fixed slot
+// budget, and one sampling cache hit. marple_reorder, the slowest corpus
+// row (its infeasibility proof at one stage), and stateful_fw at 6 bpf
+// slots are slow.
+func effortCases(t *testing.T) []effortCase {
 	t.Helper()
-	rep, err := Compile(context.Background(), b.Parse(), benchOptions(b))
+	var cases []effortCase
+	for _, b := range programs.Corpus() {
+		cases = append(cases, effortCase{key: b.Name, b: b, opts: benchOptions(b), slow: b.Name == "marple_reorder"})
+	}
+	for _, c := range bpfEffortCases {
+		b, err := programs.ByName(c.program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := benchOptions(b)
+		opts.Target, opts.MaxStages, opts.FixedStages, opts.Seed = "bpf", c.slots, true, c.seed
+		cases = append(cases, effortCase{key: fmt.Sprintf("%s/bpf@%d", c.program, c.slots), b: b, opts: opts,
+			slow: c.program == "stateful_fw" && c.slots == 6})
+	}
+	b, err := programs.ByName("sampling")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, d := range rep.Depths {
-		got = append(got, fmt.Sprintf("%s %d %v %d %d %d %d %d %d", b.Name, d.Stages, d.Feasible,
-			d.Iters, d.SynthConflicts, d.VerifyConflicts, d.Decisions, d.Propagations, d.PeakCNFVars))
+	return append(cases, effortCase{key: "sampling/cached", b: b, opts: benchOptions(b), cached: true})
+}
+
+// effortRow formats one golden row.
+func effortRow(key string, d DepthResult) string {
+	return fmt.Sprintf("%s %d %v %d %d %d %d %d %d", key, d.Stages, d.Feasible,
+		d.Iters, d.SynthConflicts, d.VerifyConflicts, d.Decisions, d.Propagations, d.PeakCNFVars)
+}
+
+// compileRows compiles b with opts and returns the report and one golden
+// row per depth it probed, keyed by key.
+func compileRows(t *testing.T, key string, b programs.Benchmark, opts Options) (*Report, []string) {
+	t.Helper()
+	rep, err := Compile(context.Background(), b.Parse(), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+	var rows []string
+	for _, d := range rep.Depths {
+		rows = append(rows, effortRow(key, d))
+	}
+	return rep, rows
+}
+
+// matchRows compares the rows of the compile keyed key with the golden
+// rows.
+func matchRows(t *testing.T, key string, got []string, want map[string][]string) {
+	t.Helper()
+	if strings.Join(got, "\n") != strings.Join(want[key], "\n") {
 		t.Errorf("search effort moved for %s\ngot:\n%s\nwant:\n%s",
-			b.Name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			key, strings.Join(got, "\n"), strings.Join(want[key], "\n"))
 	}
 }
 
-// TestSearchEffortGolden compiles the corpus concurrently and compares
-// every compile with the golden file. marple_reorder, the slowest row
-// (its infeasibility proof at one stage), runs only without -short.
+// checkEffort compiles c and compares its per-depth CEGIS iterations,
+// solver effort and peak CNF size with the golden rows. A cached case
+// compiles its program twice against one cache. The first compile must
+// match the program's own rows. The second must be a cache hit; its one
+// row holds its stage count and verdict, then each effort column summed
+// over the depths it probed, which must all be zero.
+func checkEffort(t *testing.T, c effortCase, want map[string][]string) {
+	t.Helper()
+	if !c.cached {
+		_, got := compileRows(t, c.key, c.b, c.opts)
+		matchRows(t, c.key, got, want)
+		return
+	}
+	opts := c.opts
+	opts.Cache = solcache.New(4)
+	_, cold := compileRows(t, c.b.Name, c.b, opts)
+	matchRows(t, c.b.Name, cold, want)
+	hit, _ := compileRows(t, c.key, c.b, opts)
+	if !hit.Cached {
+		t.Errorf("%s: second compile missed the cache", c.key)
+	}
+	sum := DepthResult{Stages: hit.Usage.Stages, Feasible: hit.Feasible}
+	for _, d := range hit.Depths {
+		sum.Iters += d.Iters
+		sum.SynthConflicts += d.SynthConflicts
+		sum.VerifyConflicts += d.VerifyConflicts
+		sum.Decisions += d.Decisions
+		sum.Propagations += d.Propagations
+		sum.PeakCNFVars = max(sum.PeakCNFVars, d.PeakCNFVars)
+	}
+	matchRows(t, c.key, []string{effortRow(c.key, sum)}, want)
+}
+
+// TestSearchEffortGolden compiles every effort case concurrently and
+// compares each with the golden file. Every golden key must belong to a
+// case, slow ones included, so a row no case compiles (a renamed program,
+// a mistyped key) fails rather than passing unread. It also races the
+// sampling portfolio, whose conflicts depend on the race and are not
+// pinned, and checks it finds the golden's minimum stage count.
 func TestSearchEffortGolden(t *testing.T) {
 	want := readEffortGolden(t)
-	for _, b := range programs.Corpus() {
-		if testing.Short() && b.Name == "marple_reorder" {
+	cases := effortCases(t)
+	for key := range want {
+		if !slices.ContainsFunc(cases, func(c effortCase) bool { return c.key == key }) {
+			t.Errorf("golden key %q belongs to no effort case", key)
+		}
+	}
+	for _, c := range cases {
+		if testing.Short() && c.slow {
 			continue
 		}
-		t.Run(b.Name, func(t *testing.T) {
+		t.Run(c.key, func(t *testing.T) {
 			t.Parallel()
-			checkEffort(t, b, want[b.Name])
+			checkEffort(t, c, want)
 		})
 	}
+	t.Run("sampling/portfolio", func(t *testing.T) {
+		t.Parallel()
+		b, err := programs.ByName("sampling")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := benchOptions(b)
+		opts.Parallelism, opts.SeedFanout = 4, 2
+		rep, err := Compile(context.Background(), b.Parse(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := strings.Fields(want[b.Name][len(want[b.Name])-1])
+		if !rep.Feasible || fmt.Sprint(rep.Usage.Stages) != last[1] {
+			t.Errorf("portfolio: feasible=%v at %d stages, want feasible at the golden's %s",
+				rep.Feasible, rep.Usage.Stages, last[1])
+		}
+	})
 }
 
 // TestSearchEffortLeaseOrder pins that CEGIS workspaces leased from the
 // pool search exactly like fresh ones, whatever ran in them before. On one
 // goroutine it compiles the largest corpus program first, so the pool
-// holds its grown arrays, then the others in corpus order, and the whole
-// sequence twice; every compile must match the golden file. Under -short
-// flowlet is the largest and marple_reorder is left out, as in
-// TestSearchEffortGolden.
+// holds its grown arrays, then the other corpus programs in corpus order
+// with the bpf cases interleaved, so bpf sketches lease workspaces pisa
+// compiles grew and the reverse; it runs the whole sequence twice, and
+// every compile must match the golden file. Under -short flowlet is the
+// largest and the slow cases are left out, as in TestSearchEffortGolden.
 func TestSearchEffortLeaseOrder(t *testing.T) {
 	want := readEffortGolden(t)
 	largest := "marple_reorder"
 	if testing.Short() {
 		largest = "flowlet"
 	}
-	order := []programs.Benchmark{}
-	for _, b := range programs.Corpus() {
+	var first, corpus, bpf []effortCase
+	for _, c := range effortCases(t) {
 		switch {
-		case b.Name == largest:
-			order = append([]programs.Benchmark{b}, order...)
-		case testing.Short() && b.Name == "marple_reorder":
+		case testing.Short() && c.slow, c.cached:
+		case c.key == largest:
+			first = append(first, c)
+		case c.opts.Target == "bpf":
+			bpf = append(bpf, c)
 		default:
-			order = append(order, b)
+			corpus = append(corpus, c)
 		}
 	}
-	if order[0].Name != largest {
+	if len(first) != 1 {
 		t.Fatalf("corpus has no %s", largest)
 	}
+	order := first
+	for i := range max(len(corpus), len(bpf)) {
+		if i < len(corpus) {
+			order = append(order, corpus[i])
+		}
+		if i < len(bpf) {
+			order = append(order, bpf[i])
+		}
+	}
 	for round := 1; round <= 2; round++ {
-		for _, b := range order {
-			t.Run(fmt.Sprintf("%d/%s", round, b.Name), func(t *testing.T) {
-				checkEffort(t, b, want[b.Name])
+		for _, c := range order {
+			t.Run(fmt.Sprintf("%d/%s", round, c.key), func(t *testing.T) {
+				checkEffort(t, c, want)
 			})
 		}
 	}

@@ -29,7 +29,6 @@ import (
 	"repro/internal/domino"
 	"repro/internal/mutate"
 	"repro/internal/obs"
-	"repro/internal/perfhist"
 	"repro/internal/pisa"
 	"repro/internal/programs"
 	"repro/internal/solcache"
@@ -67,11 +66,6 @@ type Options struct {
 	// repeat sweeps over the same corpus) share one CEGIS run. Workers
 	// share the cache; it is race-safe.
 	Cache *solcache.Cache
-	// History, when non-nil, appends one performance-history record per
-	// mutant compilation (internal/perfhist): the full corpus sweep
-	// becomes a per-program sample pool the regression sentinel can test.
-	// Workers share the store; it is race-safe.
-	History *perfhist.Store
 	// BPF additionally compiles each mutant for the bpf register-machine
 	// target at the hand-worked per-program slot budgets (bpfBudgets),
 	// adding per-target columns to Table 2 and the CSV so PISA and BPF
@@ -277,7 +271,6 @@ func compileBoth(ctx context.Context, b programs.Benchmark, m mutate.Mutant, idx
 		Parallelism:  opts.IntraParallelism,
 		SeedFanout:   opts.SeedFanout,
 		Cache:        opts.Cache,
-		History:      opts.History,
 		Explain:      opts.Explain,
 	})
 	if err == nil {
@@ -307,7 +300,6 @@ func compileBoth(ctx context.Context, b programs.Benchmark, m mutate.Mutant, idx
 			StatefulALU:   alu.Stateful{Kind: b.StatefulALU, ConstBits: b.ConstBits},
 			Seed:          opts.Seed + int64(idx),
 			Cache:         opts.Cache,
-			History:       opts.History,
 			Explain:       opts.Explain,
 		})
 		if berr == nil {

@@ -82,8 +82,8 @@ type CompileProfile struct {
 // performance history, one map entry per metric. Booleans become 0/1 so a
 // trend over many compiles reads as a rate. Deterministic solver-effort
 // metrics (iters, conflicts, decisions, propagations, peak_cnf_vars) are
-// the ones the regression gate trusts across machines; the *_ms entries
-// are machine-dependent and reported for trend reading only.
+// identical across machines at a fixed seed; the *_ms entries are
+// machine-dependent and reported for trend reading only.
 func (p CompileProfile) Samples() map[string]float64 {
 	b2f := func(b bool) float64 {
 		if b {

@@ -195,8 +195,8 @@ func TestRollupCompileNoCompileSpan(t *testing.T) {
 	}
 }
 
-// Samples must carry every gate-relevant metric and encode booleans as
-// 0/1.
+// Samples must carry the effort and wall-clock metrics and encode
+// booleans as 0/1.
 func TestProfileSamples(t *testing.T) {
 	p := CompileProfile{Feasible: true, Conflicts: 42, TotalMS: 1.5}
 	s := p.Samples()

@@ -8,9 +8,9 @@
 // One Record is one measured compilation (or one bench iteration): run
 // metadata identifying the machine and source revision, a flat map of named
 // numeric samples, and optionally the full per-phase CompileProfile.
-// Records append to a file named by the CHIPMUNK_PERF_HISTORY environment
-// variable (or an explicit path); cmd/chipreport reads them back to render
-// trends and gate regressions.
+// Records append to a file opened by path (the -perf-history flags of
+// chipmunkd and chipfuzz, chipbench's traced daemon pass, or
+// core.Options.History); cmd/chipreport reads them back to render trends.
 package perfhist
 
 import (
@@ -32,10 +32,6 @@ import (
 // Schema is the history record schema version, bumped on incompatible
 // changes so trend tooling refuses to mix records it cannot compare.
 const Schema = 1
-
-// EnvVar names the environment variable that, when set, routes compile
-// profiles into a history file (see OpenFromEnv).
-const EnvVar = "CHIPMUNK_PERF_HISTORY"
 
 // Meta identifies one measurement run: where (machine), when, and at what
 // source revision the samples were taken. Every record in a run shares one
@@ -74,8 +70,8 @@ type Record struct {
 	Program string `json:"program,omitempty"`
 	// Samples is the flat metric map: deterministic effort counters
 	// (iters, conflicts, decisions, propagations — identical across
-	// machines at a fixed seed, so the regression gate trusts them) next
-	// to machine-dependent wall-clock entries (*_ms, report-only).
+	// machines at a fixed seed) next to machine-dependent wall-clock
+	// entries (*_ms).
 	Samples map[string]float64 `json:"samples"`
 	// Profile optionally carries the full per-phase attribution the
 	// samples were flattened from.
@@ -160,22 +156,6 @@ func Open(path, bench string) (*Store, error) {
 		return nil, err
 	}
 	return &Store{f: f, w: bufio.NewWriter(f), meta: CaptureMeta(bench)}, nil
-}
-
-// OpenFromEnv opens the history file named by CHIPMUNK_PERF_HISTORY, or
-// returns nil (a no-op store) when the variable is unset or the file cannot
-// be opened — history capture is an observer, never a reason to fail a
-// compile.
-func OpenFromEnv(bench string) *Store {
-	path := os.Getenv(EnvVar)
-	if path == "" {
-		return nil
-	}
-	s, err := Open(path, bench)
-	if err != nil {
-		return nil
-	}
-	return s
 }
 
 // Meta returns the store's captured run metadata (zero for a nil store).

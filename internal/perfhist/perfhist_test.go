@@ -75,28 +75,6 @@ func TestNilStore(t *testing.T) {
 	}
 }
 
-func TestOpenFromEnv(t *testing.T) {
-	t.Setenv(EnvVar, "")
-	if s := OpenFromEnv("b"); s != nil {
-		t.Error("unset env must yield a nil store")
-	}
-	path := filepath.Join(t.TempDir(), "hist.jsonl")
-	t.Setenv(EnvVar, path)
-	s := OpenFromEnv("b")
-	if s == nil {
-		t.Fatal("set env must open a store")
-	}
-	if err := s.AppendSamples("p", map[string]float64{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if recs, err := ReadPath(path); err != nil || len(recs) != 1 {
-		t.Fatalf("read back: %d records, err=%v", len(recs), err)
-	}
-}
-
 // The daemon's workers share one store; appends must interleave without
 // corrupting lines.
 func TestStoreConcurrentAppend(t *testing.T) {
@@ -171,11 +149,11 @@ func TestBenchEnvelopeRoundTrip(t *testing.T) {
 // Pre-observatory BENCH_*.json files ({bench, rows} with no schema/meta)
 // must still read, so old committed artifacts remain comparable.
 func TestLegacyEnvelope(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_cache.json")
+	path := filepath.Join(t.TempDir(), "BENCH_portfolio.json")
 	legacy := `{
-  "bench": "BenchmarkCache",
+  "bench": "BenchmarkPortfolio",
   "rows": [
-    {"program": "sampling", "cold_ms": 9.1, "warm_ms": 0.4, "speedup": 22.75, "feasible": true, "stages": 1}
+    {"program": "sampling", "sequential_ms": 9.1, "portfolio_ms": 0.4, "speedup": 22.75, "identical_work": true, "stages": 1}
   ]
 }`
 	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {

@@ -7,263 +7,6 @@ import (
 	"strings"
 )
 
-// GateOptions tunes the regression gate.
-type GateOptions struct {
-	// Threshold is the median ratio beyond which a metric counts as
-	// regressed (current/baseline for lower-is-better metrics). 0 means
-	// DefaultThreshold.
-	Threshold float64
-	// Alpha is the Mann-Whitney significance level. 0 means DefaultAlpha.
-	Alpha float64
-	// MinSamples is the per-side sample count below which the U test is
-	// unreliable and the gate decides on the median ratio alone — safe
-	// because the gated metrics are deterministic at a fixed seed. 0 means
-	// DefaultMinSamples.
-	MinSamples int
-	// Metrics, when non-empty, overrides the default gated-metric policy
-	// with an explicit allowlist (exact names).
-	Metrics []string
-	// GateWallClock additionally gates *_ms / *_ns metrics. Off by
-	// default: wall clock is machine-dependent, so cross-machine
-	// comparisons (CI runner vs the baseline's recording box) would flag
-	// hardware, not code.
-	GateWallClock bool
-}
-
-// Gate policy defaults. A 2x slowdown must trip the gate (the acceptance
-// fixture) with margin; 1.25x is above solver-effort jitter for the
-// deterministic metrics (which at a fixed seed is zero) while catching
-// meaningful growth.
-const (
-	DefaultThreshold  = 1.25
-	DefaultAlpha      = 0.05
-	DefaultMinSamples = 3
-)
-
-func (o GateOptions) threshold() float64 {
-	if o.Threshold <= 0 {
-		return DefaultThreshold
-	}
-	return o.Threshold
-}
-
-func (o GateOptions) alpha() float64 {
-	if o.Alpha <= 0 {
-		return DefaultAlpha
-	}
-	return o.Alpha
-}
-
-func (o GateOptions) minSamples() int {
-	if o.MinSamples <= 0 {
-		return DefaultMinSamples
-	}
-	return o.MinSamples
-}
-
-// gated reports whether the metric participates in the pass/fail decision
-// under this policy (every metric still appears in the comparison report).
-func (o GateOptions) gated(name string) bool {
-	if len(o.Metrics) > 0 {
-		for _, m := range o.Metrics {
-			if m == name {
-				return true
-			}
-		}
-		return false
-	}
-	switch name {
-	case "feasible", "timed_out", "cached", "identical_work", "stages", "version":
-		// Outcome flags and shape fields: correctness tests own these.
-		return false
-	}
-	if strings.HasSuffix(name, "_ms") || strings.HasSuffix(name, "_ns") {
-		return o.GateWallClock
-	}
-	return true
-}
-
-// higherBetter reports metrics where a drop, not a rise, is the
-// regression (cache speedup, fuzz throughput, replay packet rates).
-func higherBetter(name string) bool {
-	return name == "speedup" || name == "shard_scale" ||
-		strings.HasSuffix(name, "_per_sec") ||
-		strings.HasSuffix(name, "_pps") ||
-		strings.HasSuffix(name, "_speedup")
-}
-
-// Comparison is one (bench, program, metric) cell of a baseline-vs-current
-// comparison.
-type Comparison struct {
-	Bench   string
-	Program string
-	Metric  string
-
-	BaselineN, CurrentN           int
-	BaselineMedian, CurrentMedian float64
-	// Ratio is CurrentMedian/BaselineMedian (+Inf when the baseline median
-	// is zero and the current is not; 1 when both are zero).
-	Ratio float64
-	// P is the two-sided Mann-Whitney p-value, or NaN when either side is
-	// below MinSamples (ratio-only decision).
-	P float64
-	// Gated reports whether this metric participates in pass/fail.
-	Gated bool
-	// Regressed is the gate's verdict for this cell.
-	Regressed bool
-}
-
-// key groups records for comparison. Bench is included so the same program
-// measured by different benchmarks (cold cache compile vs portfolio race)
-// never pools samples.
-type key struct{ bench, program string }
-
-// collect pools per-metric samples by (bench, program).
-func collect(recs []Record) map[key]map[string][]float64 {
-	out := map[key]map[string][]float64{}
-	for _, rec := range recs {
-		k := key{rec.Meta.Bench, rec.Program}
-		m := out[k]
-		if m == nil {
-			m = map[string][]float64{}
-			out[k] = m
-		}
-		for name, v := range rec.Samples {
-			m[name] = append(m[name], v)
-		}
-	}
-	return out
-}
-
-// Compare evaluates every (bench, program, metric) present in both record
-// sets, most-regressed first. Metrics present on only one side are skipped:
-// a metric added or removed by the PR under test has no baseline to
-// compare against (regenerating baselines picks it up).
-func Compare(baseline, current []Record, opts GateOptions) []Comparison {
-	base := collect(baseline)
-	cur := collect(current)
-	var out []Comparison
-	for k, curMetrics := range cur {
-		baseMetrics, ok := base[k]
-		if !ok {
-			continue
-		}
-		for name, curSamples := range curMetrics {
-			baseSamples, ok := baseMetrics[name]
-			if !ok {
-				continue
-			}
-			c := Comparison{
-				Bench:          k.bench,
-				Program:        k.program,
-				Metric:         name,
-				BaselineN:      len(baseSamples),
-				CurrentN:       len(curSamples),
-				BaselineMedian: Median(baseSamples),
-				CurrentMedian:  Median(curSamples),
-				Gated:          opts.gated(name),
-				P:              math.NaN(),
-			}
-			switch {
-			case c.BaselineMedian != 0:
-				c.Ratio = c.CurrentMedian / c.BaselineMedian
-			case c.CurrentMedian == 0:
-				c.Ratio = 1
-			default:
-				c.Ratio = math.Inf(1)
-			}
-
-			// Direction-normalized ratio: >1 always means "worse".
-			worse := c.Ratio
-			if higherBetter(name) && worse != 0 {
-				worse = 1 / worse
-			}
-			exceeds := worse > opts.threshold()
-			if len(baseSamples) >= opts.minSamples() && len(curSamples) >= opts.minSamples() {
-				_, c.P = MannWhitneyU(baseSamples, curSamples)
-				c.Regressed = c.Gated && exceeds && c.P < opts.alpha()
-			} else {
-				// Too few samples for the U test; the deterministic gated
-				// metrics make a pure ratio decision safe.
-				c.Regressed = c.Gated && exceeds
-			}
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Regressed != b.Regressed {
-			return a.Regressed
-		}
-		aw, bw := a.worse(), b.worse()
-		if aw != bw {
-			return aw > bw
-		}
-		if a.Program != b.Program {
-			return a.Program < b.Program
-		}
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
-		}
-		return a.Metric < b.Metric
-	})
-	return out
-}
-
-func (c Comparison) worse() float64 {
-	if higherBetter(c.Metric) && c.Ratio != 0 {
-		return 1 / c.Ratio
-	}
-	return c.Ratio
-}
-
-// Regressions filters a comparison down to the failing cells.
-func Regressions(cmps []Comparison) []Comparison {
-	var out []Comparison
-	for _, c := range cmps {
-		if c.Regressed {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// FormatComparison renders the comparison as an aligned text table. With
-// full=false only gated and regressed rows appear (the CI report); with
-// full=true every compared metric does.
-func FormatComparison(cmps []Comparison, full bool) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %-16s %-22s %10s %10s %7s %8s  %s\n",
-		"BENCH", "PROGRAM", "METRIC", "BASE", "CURRENT", "RATIO", "P", "VERDICT")
-	shown := 0
-	for _, c := range cmps {
-		if !full && !c.Gated {
-			continue
-		}
-		verdict := "ok"
-		switch {
-		case c.Regressed:
-			verdict = "REGRESSED"
-		case !c.Gated:
-			verdict = "info"
-		}
-		p := "-"
-		if !math.IsNaN(c.P) {
-			p = fmt.Sprintf("%.4f", c.P)
-		}
-		fmt.Fprintf(&sb, "%-12s %-16s %-22s %10s %10s %7s %8s  %s\n",
-			truncate(c.Bench, 12), truncate(c.Program, 16), truncate(c.Metric, 22),
-			formatNum(c.BaselineMedian), formatNum(c.CurrentMedian), formatRatio(c.Ratio), p, verdict)
-		shown++
-	}
-	if shown == 0 {
-		return "no overlapping metrics to compare\n"
-	}
-	return sb.String()
-}
-
-// --- Trend rendering ---------------------------------------------------------
-
 // runInfo is one run column in a trend table.
 type runInfo struct {
 	id     string
@@ -373,13 +116,6 @@ func formatNum(v float64) string {
 	default:
 		return fmt.Sprintf("%.3f", v)
 	}
-}
-
-func formatRatio(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+inf"
-	}
-	return fmt.Sprintf("%.2fx", v)
 }
 
 func truncate(s string, n int) string {

@@ -1,7 +1,6 @@
 package perfhist
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -20,200 +19,17 @@ func mkrecs(bench, program string, n int, gen func(i int) map[string]float64) []
 	return recs
 }
 
-func find(cmps []Comparison, metric string) *Comparison {
-	for i := range cmps {
-		if cmps[i].Metric == metric {
-			return &cmps[i]
-		}
-	}
-	return nil
-}
-
-// The acceptance pair: identical baselines pass, an injected 2× effort
-// slowdown trips the gate with statistical backing.
-func TestCompareGate(t *testing.T) {
-	base := mkrecs("B", "sampling", 4, func(i int) map[string]float64 {
-		return map[string]float64{"conflicts": 100 + float64(i), "total_ms": 8 + float64(i)}
-	})
-
-	t.Run("identical", func(t *testing.T) {
-		cmps := Compare(base, base, GateOptions{})
-		if regs := Regressions(cmps); len(regs) != 0 {
-			t.Fatalf("identical histories regressed: %+v", regs)
-		}
-		c := find(cmps, "conflicts")
-		if c == nil || !c.Gated || c.Ratio != 1 {
-			t.Errorf("conflicts cell: %+v", c)
-		}
-	})
-
-	t.Run("2x-slowdown", func(t *testing.T) {
-		cur := mkrecs("B", "sampling", 4, func(i int) map[string]float64 {
-			return map[string]float64{"conflicts": 2 * (100 + float64(i)), "total_ms": 8 + float64(i)}
-		})
-		cmps := Compare(base, cur, GateOptions{})
-		c := find(cmps, "conflicts")
-		if c == nil || !c.Regressed {
-			t.Fatalf("2x conflicts not flagged: %+v", c)
-		}
-		if math.Abs(c.Ratio-2) > 0.02 {
-			t.Errorf("ratio = %v, want ≈2", c.Ratio)
-		}
-		if math.IsNaN(c.P) || c.P >= 0.05 {
-			t.Errorf("p = %v, want < 0.05 at 4v4", c.P)
-		}
-		// Most-regressed-first ordering puts the failure on top.
-		if !Compare(base, cur, GateOptions{})[0].Regressed {
-			t.Error("regressed cell not sorted first")
-		}
-	})
-
-	t.Run("wall-clock-not-gated", func(t *testing.T) {
-		cur := mkrecs("B", "sampling", 4, func(i int) map[string]float64 {
-			return map[string]float64{"conflicts": 100 + float64(i), "total_ms": 5 * (8 + float64(i))}
-		})
-		if regs := Regressions(Compare(base, cur, GateOptions{})); len(regs) != 0 {
-			t.Errorf("machine-dependent total_ms tripped the default gate: %+v", regs)
-		}
-		regs := Regressions(Compare(base, cur, GateOptions{GateWallClock: true}))
-		if len(regs) != 1 || regs[0].Metric != "total_ms" {
-			t.Errorf("GateWallClock: %+v", regs)
-		}
-	})
-}
-
-// speedup and *_per_sec regress on a DROP.
-func TestCompareHigherIsBetter(t *testing.T) {
-	base := mkrecs("B", "p", 4, func(i int) map[string]float64 {
-		return map[string]float64{"speedup": 20 + float64(i), "iters_per_sec": 50}
-	})
-	cur := mkrecs("B", "p", 4, func(i int) map[string]float64 {
-		return map[string]float64{"speedup": 10 + float64(i), "iters_per_sec": 100}
-	})
-	cmps := Compare(base, cur, GateOptions{})
-	if c := find(cmps, "speedup"); c == nil || !c.Regressed {
-		t.Errorf("halved speedup must regress: %+v", c)
-	}
-	if c := find(cmps, "iters_per_sec"); c == nil || c.Regressed {
-		t.Errorf("doubled throughput must pass: %+v", c)
-	}
-	// And a RISE in speedup must pass.
-	if regs := Regressions(Compare(cur, base, GateOptions{})); len(regs) != 0 {
-		for _, r := range regs {
-			if r.Metric == "speedup" {
-				t.Errorf("improved speedup flagged: %+v", r)
-			}
-		}
-	}
-}
-
-// Replay-throughput metrics (pps, per-engine speedups) are
-// higher-is-better: a rate collapse regresses, a rate gain passes.
-func TestComparePPSHigherIsBetter(t *testing.T) {
-	base := mkrecs("BenchmarkPPS", "sampling", 4, func(i int) map[string]float64 {
-		return map[string]float64{"compiled_pps": 2e7 + float64(i), "compiled_speedup": 60, "shard_scale": 3}
-	})
-	cur := mkrecs("BenchmarkPPS", "sampling", 4, func(i int) map[string]float64 {
-		return map[string]float64{"compiled_pps": 5e6 + float64(i), "compiled_speedup": 15, "shard_scale": 1}
-	})
-	for _, m := range []string{"compiled_pps", "compiled_speedup", "shard_scale"} {
-		if c := find(Compare(base, cur, GateOptions{}), m); c == nil || !c.Regressed {
-			t.Errorf("collapsed %s must regress: %+v", m, c)
-		}
-		if c := find(Compare(cur, base, GateOptions{}), m); c == nil || c.Regressed {
-			t.Errorf("improved %s flagged: %+v", m, c)
-		}
-	}
-}
-
-// Below MinSamples the gate decides on the median ratio alone (the
-// deterministic metrics make that safe), with P reported as NaN.
-func TestCompareRatioFallback(t *testing.T) {
-	base := mkrecs("B", "p", 1, func(int) map[string]float64 { return map[string]float64{"conflicts": 100} })
-	cur := mkrecs("B", "p", 1, func(int) map[string]float64 { return map[string]float64{"conflicts": 210} })
-	cmps := Compare(base, cur, GateOptions{})
-	c := find(cmps, "conflicts")
-	if c == nil || !c.Regressed || !math.IsNaN(c.P) {
-		t.Errorf("1v1 ratio fallback: %+v", c)
-	}
-	// Under the threshold nothing fires.
-	ok := mkrecs("B", "p", 1, func(int) map[string]float64 { return map[string]float64{"conflicts": 110} })
-	if regs := Regressions(Compare(base, ok, GateOptions{})); len(regs) != 0 {
-		t.Errorf("1.1x under a 1.25x threshold regressed: %+v", regs)
-	}
-}
-
-func TestComparePolicyKnobs(t *testing.T) {
-	base := mkrecs("B", "p", 4, func(i int) map[string]float64 {
-		return map[string]float64{"conflicts": 100, "decisions": 1000, "feasible": 1}
-	})
-	cur := mkrecs("B", "p", 4, func(i int) map[string]float64 {
-		return map[string]float64{"conflicts": 200, "decisions": 2000, "feasible": 0}
-	})
-	// Outcome flags are never gated: correctness tests own them.
-	for _, c := range Compare(base, cur, GateOptions{}) {
-		if c.Metric == "feasible" && c.Gated {
-			t.Error("feasible must not be gated")
-		}
-	}
-	// An explicit allowlist narrows the gate.
-	regs := Regressions(Compare(base, cur, GateOptions{Metrics: []string{"decisions"}}))
-	if len(regs) != 1 || regs[0].Metric != "decisions" {
-		t.Errorf("allowlist: %+v", regs)
-	}
-	// A generous threshold lets 2x through.
-	if regs := Regressions(Compare(base, cur, GateOptions{Threshold: 3})); len(regs) != 0 {
-		t.Errorf("threshold=3: %+v", regs)
-	}
-}
-
-// Samples from different benches or programs must never pool.
-func TestCompareKeying(t *testing.T) {
-	base := append(
-		mkrecs("BenchA", "p", 4, func(int) map[string]float64 { return map[string]float64{"conflicts": 100} }),
-		mkrecs("BenchB", "p", 4, func(int) map[string]float64 { return map[string]float64{"conflicts": 10000} })...,
-	)
-	cmps := Compare(base, base, GateOptions{})
-	if len(cmps) != 2 {
-		t.Fatalf("want 2 cells (one per bench), got %d", len(cmps))
-	}
-	for _, c := range cmps {
-		if c.Ratio != 1 {
-			t.Errorf("pooled across benches: %+v", c)
-		}
-	}
-	// A metric present only in current is skipped, not compared to nothing.
-	cur := mkrecs("BenchA", "p", 4, func(int) map[string]float64 {
-		return map[string]float64{"conflicts": 100, "brand_new": 7}
-	})
-	for _, c := range Compare(base, cur, GateOptions{}) {
-		if c.Metric == "brand_new" {
-			t.Errorf("one-sided metric compared: %+v", c)
-		}
-	}
-}
-
-func TestFormatComparisonAndTrend(t *testing.T) {
+// FormatTrend renders one metric as programs by runs, each cell a
+// per-run median, and says so when no record carries the metric.
+func TestFormatTrend(t *testing.T) {
 	base := mkrecs("B", "sampling", 4, func(i int) map[string]float64 {
 		return map[string]float64{"conflicts": 100, "total_ms": 8}
 	})
 	cur := mkrecs("B", "sampling", 4, func(i int) map[string]float64 {
 		return map[string]float64{"conflicts": 200, "total_ms": 8}
 	})
-	out := FormatComparison(Compare(base, cur, GateOptions{}), false)
-	if !strings.Contains(out, "REGRESSED") || !strings.Contains(out, "conflicts") {
-		t.Errorf("gated report:\n%s", out)
-	}
-	if strings.Contains(out, "total_ms") {
-		t.Errorf("ungated metric shown without -full:\n%s", out)
-	}
-	full := FormatComparison(Compare(base, cur, GateOptions{}), true)
-	if !strings.Contains(full, "total_ms") {
-		t.Errorf("full report missing ungated metric:\n%s", full)
-	}
-
 	trend := FormatTrend(append(base, cur...), "conflicts")
-	if !strings.Contains(trend, "sampling") || !strings.Contains(trend, "deadbee") {
+	if !strings.Contains(trend, "sampling") || !strings.Contains(trend, "deadbee") || !strings.Contains(trend, " 150\n") {
 		t.Errorf("trend table:\n%s", trend)
 	}
 	if !strings.Contains(FormatTrend(base, "no_such_metric"), "no samples") {

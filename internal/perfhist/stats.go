@@ -19,79 +19,3 @@ func Median(xs []float64) float64 {
 	}
 	return (s[mid-1] + s[mid]) / 2
 }
-
-// MannWhitneyU runs the two-sided Mann-Whitney U test on two independent
-// samples and returns the U statistic (the smaller of U1/U2) and the
-// p-value under the normal approximation with tie correction and
-// continuity correction.
-//
-// The normal approximation is what a dependency-free implementation can
-// carry, and it is adequate for the regression gate's use: at the CI
-// sample size (4 vs 4) full separation yields p ≈ 0.030 against the exact
-// 0.0286, and identical samples yield p = 1 exactly (zero variance).
-// Callers with fewer than 3 samples per side should not trust p at all —
-// the gate falls back to a pure ratio test there (see Compare).
-func MannWhitneyU(x, y []float64) (u, p float64) {
-	n, m := len(x), len(y)
-	if n == 0 || m == 0 {
-		return 0, 1
-	}
-	type obs struct {
-		v     float64
-		fromX bool
-	}
-	all := make([]obs, 0, n+m)
-	for _, v := range x {
-		all = append(all, obs{v, true})
-	}
-	for _, v := range y {
-		all = append(all, obs{v, false})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-
-	// Assign mid-ranks to ties and accumulate the tie-correction term
-	// sum(t^3 - t) over tie groups.
-	rankSumX := 0.0
-	tieTerm := 0.0
-	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].v == all[i].v {
-			j++
-		}
-		t := float64(j - i)
-		if t > 1 {
-			tieTerm += t*t*t - t
-		}
-		// Ranks are 1-based; the shared mid-rank of positions i..j-1.
-		midRank := float64(i+j+1) / 2
-		for k := i; k < j; k++ {
-			if all[k].fromX {
-				rankSumX += midRank
-			}
-		}
-		i = j
-	}
-
-	nf, mf := float64(n), float64(m)
-	u1 := rankSumX - nf*(nf+1)/2
-	u2 := nf*mf - u1
-	u = math.Min(u1, u2)
-
-	nTotal := nf + mf
-	mu := nf * mf / 2
-	variance := nf * mf / 12 * ((nTotal + 1) - tieTerm/(nTotal*(nTotal-1)))
-	if variance <= 0 {
-		// Every observation identical: no evidence of any difference.
-		return u, 1
-	}
-	// Continuity correction: shift half a unit toward the mean.
-	z := (u - mu + 0.5) / math.Sqrt(variance)
-	if z > 0 {
-		z = 0
-	}
-	p = math.Erfc(-z / math.Sqrt2) // 2 * Phi(z) for z <= 0
-	if p > 1 {
-		p = 1
-	}
-	return u, p
-}

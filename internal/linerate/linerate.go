@@ -1,29 +1,46 @@
-// Package linerate compiles a validated pisa.Config into a specialized
-// execution engine — the runtime half of the paper's premise that
+// Package linerate compiles a validated pisa.Config into a straight-line
+// register program — the runtime half of the paper's premise that
 // synthesized switch code runs at line rate.
 //
 // Config.ExecInto interprets the grid: every mux re-walks its selection
-// chain and every hole is re-read from its map per packet. Compile does
-// that work once. Field and state names resolve to slot indices at compile
-// time; each ALU's hole values are lifted into a constant-folding
-// instantiation of the same generic ALU semantics (internal/alu evaluated
-// over a partial-evaluation value domain), so the mux chains collapse and
-// what remains is one pre-bound Go closure per ALU, specialized to its
-// opcode with immediates folded in. Execution then moves flat []uint64
-// vectors through the stages with zero per-packet allocation.
+// chain and every hole is re-read from its map per packet, and every ALU
+// runs whether or not anything reads it. Compile does that work once. It
+// pushes the packet through the grid once over a partial-evaluation
+// domain whose values are either a constant or a register, running each
+// ALU through internal/alu's generic evaluators:
+//
+//   - hole values are constants, so field allocation, input and output
+//     muxes and salu_active guards resolve to a choice of value — a
+//     container is just a name for a register, and routing becomes
+//     renaming;
+//   - every operator with constant operands folds, through the same
+//     word.Width function the runtime applies, which collapses each ALU's
+//     opcode and mode dispatch;
+//   - a backwards walk from the field outputs and state write-backs keeps
+//     only the operators some output reads, and emits each as one
+//     instruction hash-consed on (opcode, operands), so a value two
+//     outputs read is computed once.
+//
+// ExecInto then masks the inputs into their registers, runs the
+// instructions with one flat switch, and stores the output registers, with
+// zero per-packet allocation.
 //
 // Bit-identity with Config.ExecInto is the load-bearing property: the ALU
-// bodies are the shared generic definitions (not a reimplementation), the
-// folding arithmetic applies exactly the word.Width operations
-// arith.Conc applies at runtime, and the grid plumbing reproduces the
-// Datapath's mux-chain semantics (including the truncating-selector
-// aliasing at narrow word widths) via word.Width.SelIdx. The equivalence is
-// pinned by exhaustive small-width sweeps, randomized full-width probes,
-// and a native fuzz target in internal/difftest.
+// semantics are the shared generic definitions (not a reimplementation),
+// the grid plumbing follows pisa.Datapath with word.Width.SelIdx as
+// arith.Select's concrete meaning (including the truncating-selector
+// aliasing at narrow widths), and the fold and the run loop are one
+// function, exec, so an operator means the same whether it runs at build
+// time or per packet. Selecting both mux arms eagerly is sound because
+// every operator is total and pure. The equivalence is pinned by
+// exhaustive small-width sweeps, randomized full-width probes, and a
+// native fuzz target in internal/difftest.
 package linerate
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/alu"
 	"repro/internal/arith"
@@ -31,163 +48,230 @@ import (
 	"repro/internal/word"
 )
 
-// aluFn is a compiled ALU: a closure over (state inputs, packet operands)
-// returning one word. Plain value arguments keep calls allocation-free —
-// an environment pointer would escape to the heap at every dynamic call.
-type aluFn func(s0, s1, p0, p1 uint64) uint64
+// opcode is one register-program operator.
+type opcode uint8
 
-// cv is the partial-evaluation value domain: either a known constant
-// (hole values, folded subexpressions) or a residual closure.
-type cv struct {
-	fn      aluFn
-	k       uint64
-	isConst bool
+const (
+	opAdd opcode = iota
+	opSub
+	opMul
+	opAnd
+	opOr
+	opXor
+	opShl
+	opShr
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opLAnd
+	opLOr
+	opNot
+	opNeg
+	opLNot
+	opMux
+
+	numOpcodes
+)
+
+// arity is how many operands each opcode reads: a; a, b; or a, b, c.
+var arity = [numOpcodes]int{
+	opNot: 1, opNeg: 1, opLNot: 1,
+	opAdd: 2, opSub: 2, opMul: 2, opAnd: 2, opOr: 2, opXor: 2, opShl: 2, opShr: 2,
+	opEq: 2, opNe: 2, opLt: 2, opLe: 2, opGt: 2, opGe: 2, opLAnd: 2, opLOr: 2,
+	opMux: 3,
 }
 
-func (c cv) eval() aluFn {
-	if c.isConst {
-		k := c.k
-		return func(s0, s1, p0, p1 uint64) uint64 { return k }
+// instr computes r[dst] = op(r[a], r[b], r[c]); operands past the
+// opcode's arity are -1.
+type instr struct {
+	op      opcode
+	dst     int32
+	a, b, c int32
+}
+
+// exec runs prog over the register file r. It is the only place an opcode
+// meets its word function: Compile folds constant operands by running a
+// one-instruction program through it.
+func exec(w word.Width, prog []instr, r []uint64) {
+	for _, in := range prog {
+		x := r[in.a]
+		var v uint64
+		switch in.op {
+		case opAdd:
+			v = w.Add(x, r[in.b])
+		case opSub:
+			v = w.Sub(x, r[in.b])
+		case opMul:
+			v = w.Mul(x, r[in.b])
+		case opAnd:
+			v = w.And(x, r[in.b])
+		case opOr:
+			v = w.Or(x, r[in.b])
+		case opXor:
+			v = w.Xor(x, r[in.b])
+		case opShl:
+			v = w.Shl(x, r[in.b])
+		case opShr:
+			v = w.Shr(x, r[in.b])
+		case opEq:
+			v = w.Eq(x, r[in.b])
+		case opNe:
+			v = w.Ne(x, r[in.b])
+		case opLt:
+			v = w.Lt(x, r[in.b])
+		case opLe:
+			v = w.Le(x, r[in.b])
+		case opGt:
+			v = w.Gt(x, r[in.b])
+		case opGe:
+			v = w.Ge(x, r[in.b])
+		case opLAnd:
+			v = word.LAnd(x, r[in.b])
+		case opLOr:
+			v = word.LOr(x, r[in.b])
+		case opNot:
+			v = w.Not(x)
+		case opNeg:
+			v = w.Neg(x)
+		case opLNot:
+			v = word.LNot(x)
+		case opMux:
+			// Eager select: both arms are already computed, and every
+			// operator is total and pure, so this equals word.Mux over
+			// lazily evaluated arms.
+			v = word.Mux(x, r[in.b], r[in.c])
+		}
+		r[in.dst] = v
 	}
-	return c.fn
 }
 
-// comp instantiates arith.Arith over cv. Every operation folds to a
-// constant when its operands are constants, applying the *same* word.Width
-// function arith.Conc would apply at runtime — so folding can never change
-// semantics, only when the work happens.
-type comp struct{ w word.Width }
+// val is the partial-evaluation domain: value r when reg — input slot r
+// (fields, then states) below builder.nIn, node r-nIn above — else the
+// constant k. The zero val is the constant 0, as a hole missing from a
+// map reads in Config.ExecInto.
+type val struct {
+	k   uint64
+	r   int32
+	reg bool
+}
 
-var _ arith.Arith[cv] = comp{}
+func con(k uint64) val     { return val{k: k} }
+func register(r int32) val { return val{r: r, reg: true} }
 
-func con(k uint64) cv { return cv{k: k, isConst: true} }
+// node is one residual operator. An operand is a value index as in val,
+// or -1-i for the constant builder.consts[i]; operands past the opcode's
+// arity are unused.
+type node struct {
+	op   opcode
+	args [3]int32
+}
 
-// bin builds a binary node, folding when both sides are constants.
-func (c comp) bin(a, b cv, op func(w word.Width, x, y uint64) uint64) cv {
-	w := c.w
-	if a.isConst && b.isConst {
-		return con(op(w, a.k, b.k))
+// builder instantiates arith.Arith over val, recording every operator it
+// cannot fold as a node. Most nodes are dead — an ALU computes every
+// opcode's result before its opcode selects one — so the builder only
+// appends; link hash-conses and schedules the live ones.
+type builder struct {
+	w      word.Width
+	nIn    int32
+	nodes  []node
+	consts []uint64 // distinct constant operands, in first-use order
+}
+
+var _ arith.Arith[val] = (*builder)(nil)
+
+// operand names v in a node. A grid has few distinct constants, so a
+// scan finds one faster than a map would.
+func (b *builder) operand(v val) int32 {
+	if v.reg {
+		return v.r
 	}
-	fa, fb := a.eval(), b.eval()
-	return cv{fn: func(s0, s1, p0, p1 uint64) uint64 {
-		return op(w, fa(s0, s1, p0, p1), fb(s0, s1, p0, p1))
-	}}
-}
-
-func (c comp) un(a cv, op func(w word.Width, x uint64) uint64) cv {
-	w := c.w
-	if a.isConst {
-		return con(op(w, a.k))
+	i := slices.Index(b.consts, v.k)
+	if i < 0 {
+		i = len(b.consts)
+		b.consts = append(b.consts, v.k)
 	}
-	fa := a.eval()
-	return cv{fn: func(s0, s1, p0, p1 uint64) uint64 {
-		return op(w, fa(s0, s1, p0, p1))
-	}}
+	return int32(-1 - i)
 }
 
-func (c comp) ConstInt(v int64) cv { return con(c.w.FromInt(v)) }
-
-func (c comp) Add(a, b cv) cv { return c.bin(a, b, word.Width.Add) }
-func (c comp) Sub(a, b cv) cv { return c.bin(a, b, word.Width.Sub) }
-func (c comp) Mul(a, b cv) cv { return c.bin(a, b, word.Width.Mul) }
-func (c comp) BitAnd(a, b cv) cv {
-	return c.bin(a, b, word.Width.And)
-}
-func (c comp) BitOr(a, b cv) cv  { return c.bin(a, b, word.Width.Or) }
-func (c comp) BitXor(a, b cv) cv { return c.bin(a, b, word.Width.Xor) }
-func (c comp) BitNot(a cv) cv    { return c.un(a, word.Width.Not) }
-func (c comp) Neg(a cv) cv       { return c.un(a, word.Width.Neg) }
-func (c comp) Shl(a, b cv) cv    { return c.bin(a, b, word.Width.Shl) }
-func (c comp) Shr(a, b cv) cv    { return c.bin(a, b, word.Width.Shr) }
-func (c comp) Eq(a, b cv) cv     { return c.bin(a, b, word.Width.Eq) }
-func (c comp) Ne(a, b cv) cv     { return c.bin(a, b, word.Width.Ne) }
-func (c comp) Lt(a, b cv) cv     { return c.bin(a, b, word.Width.Lt) }
-func (c comp) Le(a, b cv) cv     { return c.bin(a, b, word.Width.Le) }
-func (c comp) Gt(a, b cv) cv     { return c.bin(a, b, word.Width.Gt) }
-func (c comp) Ge(a, b cv) cv     { return c.bin(a, b, word.Width.Ge) }
-
-func (c comp) LAnd(a, b cv) cv {
-	return c.bin(a, b, func(_ word.Width, x, y uint64) uint64 { return word.LAnd(x, y) })
-}
-func (c comp) LOr(a, b cv) cv {
-	return c.bin(a, b, func(_ word.Width, x, y uint64) uint64 { return word.LOr(x, y) })
-}
-func (c comp) LNot(a cv) cv {
-	return c.un(a, func(_ word.Width, x uint64) uint64 { return word.LNot(x) })
+// emit folds op when all its operands are constants and otherwise records
+// a node computing op over them.
+func (b *builder) emit(op opcode, x, y, z val) val {
+	n := arity[op]
+	if !x.reg && (n < 2 || !y.reg) && (n < 3 || !z.reg) {
+		r := [4]uint64{x.k, y.k, z.k}
+		exec(b.w, []instr{{op: op, dst: 3, a: 0, b: 1, c: 2}}, r[:])
+		return con(r[3])
+	}
+	nd := node{op: op}
+	args := [3]val{x, y, z}
+	for i, v := range args[:n] {
+		nd.args[i] = b.operand(v)
+	}
+	b.nodes = append(b.nodes, nd)
+	return register(b.nIn + int32(len(b.nodes)) - 1)
 }
 
-// Mux folds to the taken branch when the condition is constant — the step
-// that collapses opcode and mux selection chains, since their selectors
-// are hole constants. word.Mux passes branch values through unmasked, and
-// so does this.
-func (c comp) Mux(cond, t, f cv) cv {
-	if cond.isConst {
-		if word.Truthy(cond.k) {
+func (b *builder) un(op opcode, x val) val     { return b.emit(op, x, x, x) }
+func (b *builder) bin(op opcode, x, y val) val { return b.emit(op, x, y, y) }
+
+func (b *builder) ConstInt(v int64) val { return con(b.w.FromInt(v)) }
+
+func (b *builder) Add(x, y val) val    { return b.bin(opAdd, x, y) }
+func (b *builder) Sub(x, y val) val    { return b.bin(opSub, x, y) }
+func (b *builder) Mul(x, y val) val    { return b.bin(opMul, x, y) }
+func (b *builder) BitAnd(x, y val) val { return b.bin(opAnd, x, y) }
+func (b *builder) BitOr(x, y val) val  { return b.bin(opOr, x, y) }
+func (b *builder) BitXor(x, y val) val { return b.bin(opXor, x, y) }
+func (b *builder) BitNot(x val) val    { return b.un(opNot, x) }
+func (b *builder) Neg(x val) val       { return b.un(opNeg, x) }
+func (b *builder) Shl(x, y val) val    { return b.bin(opShl, x, y) }
+func (b *builder) Shr(x, y val) val    { return b.bin(opShr, x, y) }
+func (b *builder) Eq(x, y val) val     { return b.bin(opEq, x, y) }
+func (b *builder) Ne(x, y val) val     { return b.bin(opNe, x, y) }
+func (b *builder) Lt(x, y val) val     { return b.bin(opLt, x, y) }
+func (b *builder) Le(x, y val) val     { return b.bin(opLe, x, y) }
+func (b *builder) Gt(x, y val) val     { return b.bin(opGt, x, y) }
+func (b *builder) Ge(x, y val) val     { return b.bin(opGe, x, y) }
+func (b *builder) LAnd(x, y val) val   { return b.bin(opLAnd, x, y) }
+func (b *builder) LOr(x, y val) val    { return b.bin(opLOr, x, y) }
+func (b *builder) LNot(x val) val      { return b.un(opLNot, x) }
+
+// Mux resolves to the taken arm when the condition is constant — the step
+// that collapses an ALU's opcode, mode and operand-select chains, since
+// their selectors are hole constants. word.Mux passes arm values through
+// unmasked, and so does this.
+func (b *builder) Mux(c, t, f val) val {
+	if !c.reg {
+		if word.Truthy(c.k) {
 			return t
 		}
 		return f
 	}
-	fc, ft, ff := cond.eval(), t.eval(), f.eval()
-	return cv{fn: func(s0, s1, p0, p1 uint64) uint64 {
-		if word.Truthy(fc(s0, s1, p0, p1)) {
-			return ft(s0, s1, p0, p1)
-		}
-		return ff(s0, s1, p0, p1)
-	}}
+	return b.emit(opMux, c, t, f)
 }
 
-// Free variables of the cv domain: the two state inputs and the two
-// packet operands an aluFn receives.
-var (
-	varS0 = cv{fn: func(s0, s1, p0, p1 uint64) uint64 { return s0 }}
-	varS1 = cv{fn: func(s0, s1, p0, p1 uint64) uint64 { return s1 }}
-	varP0 = cv{fn: func(s0, s1, p0, p1 uint64) uint64 { return p0 }}
-	varP1 = cv{fn: func(s0, s1, p0, p1 uint64) uint64 { return p1 }}
-)
+// load moves input slot src of a packet's fields or states into register
+// dst.
+type load struct{ src, dst int32 }
 
-var stVars = [2]cv{varS0, varS1}
-var pktVars = [2]cv{varP0, varP1}
-
-// slPlan is one compiled stateless ALU: read containers ia and ib, apply fn.
-type slPlan struct {
-	ia, ib int
-	fn     aluFn
-}
-
-// sfPlan is one compiled stateful ALU slot that has an observable effect
-// this stage: active (owns live state) and/or referenced by an output mux.
-type sfPlan struct {
-	slot   int    // container/state column j
-	active bool   // reads and writes states [slot*ns, slot*ns+ns)
-	outRef bool   // some output mux in this stage selects this slot
-	pktIdx [2]int // container index per packet operand
-	out    aluFn  // nil unless outRef
-	newSt  [2]aluFn
-}
-
-// stagePlan routes one pipeline stage: the stateful units worth running,
-// and per container either a stateful output slot or a stateless closure.
-type stagePlan struct {
-	sf []sfPlan
-	// route[j] is the stateful column whose output feeds container j, or
-	// -1 when the container keeps its own stateless ALU result.
-	route []int
-	sl    []slPlan // indexed by container; fn nil when routed from sf
-}
-
-// Engine is a pisa.Config compiled to specialized closures. Engines are
+// Engine is a pisa.Config compiled to a register program. Engines are
 // immutable after Compile and safe for concurrent use; per-goroutine
 // mutable state lives in Buf.
 type Engine struct {
-	grid       pisa.GridSpec
-	fields     []string
-	states     []string
-	ns         int
-	npkt       int
-	fieldSrc   []int // container -> field loaded into it, or -1 (zero)
-	fieldOut   []int // field -> container it unloads from, or -1 (zero)
-	stages     []stagePlan
-	stateSlots int
+	fields []string
+	states []string
+	w      word.Width
+	// Registers [0, len(consts)) hold consts, preloaded by NewBuf.
+	consts   []uint64
+	nregs    int
+	fieldIn  []load
+	stateIn  []load
+	prog     []instr
+	fieldOut []int32 // field -> register it stores
+	stateOut []int32 // state -> register it stores
 }
 
 // NumFields returns how many packet fields the engine consumes per packet,
@@ -209,235 +293,280 @@ func Compile(cfg *pisa.Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("linerate: %w", err)
 	}
+	nf, ns := len(cfg.Fields), len(cfg.States)
 	g := cfg.Grid
-	w := g.WordWidth
-	a := comp{w: w}
-	ns := g.StatefulALU.NumStates()
-	npkt := g.StatefulALU.NumPacketOperands()
-	if ns > 2 || npkt > 2 {
-		return nil, fmt.Errorf("linerate: stateful ALU %s needs %d states and %d operands; engine supports at most 2 of each",
-			g.StatefulALU.Kind, ns, npkt)
+	// About 16 operators per grid point survive folding, most of them dead.
+	b := &builder{w: g.WordWidth, nIn: int32(nf + ns), nodes: make([]node, 0, 16*g.Stages*g.Width)}
+	in := make([]val, nf+ns)
+	for i := range in {
+		in[i] = register(int32(i))
 	}
+	outFields, outStates := b.grid(cfg, in[:nf], in[nf:])
+	e := &Engine{fields: cfg.Fields, states: cfg.States, w: b.w}
+	b.link(e, outFields, outStates)
+	return e, nil
+}
 
-	e := &Engine{
-		grid:       g,
-		fields:     cfg.Fields,
-		states:     cfg.States,
-		ns:         ns,
-		npkt:       npkt,
-		stateSlots: g.StateSlots(),
-	}
+// imuxNames are the stateful ALU's input-mux holes, per packet operand.
+var imuxNames = [...]string{"imux0", "imux1"}
 
-	// Field slot resolution, done once instead of per packet. The Mux
-	// chains in Datapath give "last indicator wins"; scanning fields (or
-	// containers) in ascending order and overwriting reproduces that.
-	e.fieldSrc = make([]int, g.Width)
-	e.fieldOut = make([]int, len(cfg.Fields))
-	if cfg.Values.FieldAlloc == nil {
-		for j := range e.fieldSrc {
-			if j < len(cfg.Fields) {
-				e.fieldSrc[j] = j
-			} else {
-				e.fieldSrc[j] = -1
-			}
-		}
-		for f := range e.fieldOut {
-			e.fieldOut[f] = f
-		}
-	} else {
-		for j := range e.fieldSrc {
-			e.fieldSrc[j] = -1
-			for f := range cfg.Values.FieldAlloc {
-				if word.Truthy(cfg.Values.FieldAlloc[f][j]) {
-					e.fieldSrc[j] = f
-				}
-			}
-		}
-		for f := range e.fieldOut {
-			e.fieldOut[f] = -1
-			for j := 0; j < g.Width; j++ {
-				if word.Truthy(cfg.Values.FieldAlloc[f][j]) {
-					e.fieldOut[f] = j
-				}
-			}
-		}
-	}
-
-	liftHoles := func(m map[string]uint64) map[string]cv {
-		out := make(map[string]cv, len(m))
+// grid pushes symbolic fields and states through the configuration, as
+// pisa.Datapath does. The ALU bodies run through alu's generic
+// evaluators; the plumbing between them — field allocation, input and
+// output muxes, salu_active guards — is all hole constants, so it
+// resolves here to a choice of value, through word.Width.SelIdx (the
+// concrete meaning of arith.Select) and Datapath's last-indicator-wins
+// allocation. An ALU no output mux selects and no state write-back needs
+// is not evaluated: the walk in link would drop it anyway.
+func (b *builder) grid(cfg *pisa.Config, fields, states []val) (outFields, outStates []val) {
+	g, h, w := cfg.Grid, cfg.Values, cfg.Grid.WordWidth
+	// Raw, not truncated: Datapath feeds hole values into the arithmetic
+	// unmasked and lets each operation mask its result.
+	lift := func(m map[string]uint64) map[string]val {
+		out := make(map[string]val, len(m))
 		for k, v := range m {
-			// Raw, not truncated: Datapath feeds hole values into the
-			// arithmetic unmasked and lets each operation mask its result.
 			out[k] = con(v)
 		}
 		return out
 	}
-
-	e.stages = make([]stagePlan, g.Stages)
+	cur := make([]val, g.Width)
+	for j := range cur {
+		cur[j] = con(0)
+		if h.FieldAlloc == nil && j < len(fields) {
+			cur[j] = fields[j]
+		}
+		for f := range h.FieldAlloc {
+			if word.Truthy(h.FieldAlloc[f][j]) {
+				cur[j] = fields[f]
+			}
+		}
+	}
+	ns := g.StatefulALU.NumStates()
+	state := make([]val, g.StateSlots())
+	for i := range state {
+		state[i] = con(0)
+		if i < len(states) {
+			state[i] = states[i]
+		}
+	}
+	pkt := make([]val, g.StatefulALU.NumPacketOperands())
+	stIn, newSt := make([]val, ns), make([]val, ns)
 	for i := 0; i < g.Stages; i++ {
-		st := &e.stages[i]
-		st.route = make([]int, g.Width)
-		st.sl = make([]slPlan, g.Width)
-
-		outRef := make([]bool, g.Width)
-		for j := 0; j < g.Width; j++ {
-			sel := w.SelIdx(cfg.Values.OMux[i][j], g.Width+1)
-			if sel < g.Width {
-				st.route[j] = sel
-				outRef[sel] = true
-			} else {
-				st.route[j] = -1
-			}
+		sel := make([]int, g.Width) // output mux j's choice; g.Width is its stateless ALU
+		selected := make([]bool, g.Width+1)
+		for j := range sel {
+			sel[j] = w.SelIdx(h.OMux[i][j], g.Width+1)
+			selected[sel[j]] = true
 		}
-
+		sfOut := make([]val, g.Width)
 		for j := 0; j < g.Width; j++ {
-			if st.route[j] >= 0 {
-				continue // container fed by a stateful output; stateless ALU is dead
+			active := w.Eq(h.SaluActive[i][j], 1) != 0
+			if !active && !selected[j] {
+				continue
 			}
-			holes := liftHoles(cfg.Values.Stateless[i][j])
-			plan := slPlan{
-				ia: w.SelIdx(cfg.Values.Stateless[i][j]["imux1"], g.Width),
-				ib: w.SelIdx(cfg.Values.Stateless[i][j]["imux2"], g.Width),
+			for k := range pkt {
+				pkt[k] = cur[w.SelIdx(h.Stateful[i][j][imuxNames[k]], g.Width)]
 			}
-			plan.fn = alu.EvalStateless[cv](a, holes, varP0, varP1).eval()
-			st.sl[j] = plan
-		}
-
-		for j := 0; j < g.Width; j++ {
-			active := w.Eq(cfg.Values.SaluActive[i][j], 1) != 0
-			if !active && !outRef[j] {
-				continue // no state write-back and no reader: unobservable
-			}
-			holes := liftHoles(cfg.Values.Stateful[i][j])
-			plan := sfPlan{slot: j, active: active, outRef: outRef[j]}
-			for k := 0; k < npkt; k++ {
-				plan.pktIdx[k] = w.SelIdx(cfg.Values.Stateful[i][j][fmt.Sprintf("imux%d", k)], g.Width)
-			}
-			// When inactive, the state operands read as zero — bake that in.
-			stIn := make([]cv, ns)
-			for k := 0; k < ns; k++ {
+			for k := range stIn {
+				stIn[k] = con(0)
 				if active {
-					stIn[k] = stVars[k]
-				} else {
-					stIn[k] = con(0)
+					stIn[k] = state[j*ns+k]
 				}
 			}
-			newSt := make([]cv, ns)
-			out := alu.EvalStatefulInto[cv](a, g.StatefulALU, holes, stIn, pktVars[:npkt], newSt)
-			if outRef[j] {
-				plan.out = out.eval()
-			}
+			sfOut[j] = alu.EvalStatefulInto[val](b, g.StatefulALU, lift(h.Stateful[i][j]), stIn, pkt, newSt)
 			if active {
-				for k := 0; k < ns; k++ {
-					plan.newSt[k] = newSt[k].eval()
-				}
+				copy(state[j*ns:], newSt)
 			}
-			st.sf = append(st.sf, plan)
+		}
+		next := make([]val, g.Width)
+		for j := range next {
+			if sel[j] < g.Width {
+				next[j] = sfOut[sel[j]]
+				continue
+			}
+			sl := h.Stateless[i][j]
+			next[j] = alu.EvalStateless[val](b, lift(sl),
+				cur[w.SelIdx(sl["imux1"], g.Width)], cur[w.SelIdx(sl["imux2"], g.Width)])
+		}
+		cur = next
+	}
+	outFields = make([]val, len(fields))
+	for f := range outFields {
+		outFields[f] = con(0)
+		if h.FieldAlloc == nil {
+			outFields[f] = cur[f]
+		}
+		for j := range cur {
+			if h.FieldAlloc != nil && word.Truthy(h.FieldAlloc[f][j]) {
+				outFields[f] = cur[j]
+			}
 		}
 	}
-	return e, nil
+	return outFields, state[:len(states)]
 }
 
-// Buf holds one goroutine's packet-transit buffers. Engines share; Bufs
-// don't.
-type Buf struct {
-	cur, next []uint64
-	sfOut     []uint64
-	state     []uint64 // full capacity, padded slots zeroed per packet
-}
-
-// NewBuf allocates execution buffers sized for the engine's grid.
-func (e *Engine) NewBuf() *Buf {
-	return &Buf{
-		cur:   make([]uint64, e.grid.Width),
-		next:  make([]uint64, e.grid.Width),
-		sfOut: make([]uint64, e.grid.Width),
-		state: make([]uint64, e.stateSlots),
+// link builds e's program from the nodes the outputs read. A post-order
+// walk from the outputs (fields, then states) reaches exactly the live
+// nodes (dead-code elimination) and hash-conses each on its opcode and
+// its operands' registers (common-subexpression elimination), so the
+// program depends only on what the outputs compute, not on the order the
+// grid produced it in. Registers are numbered constants first (ascending
+// value), then inputs (slot order), then results (schedule order).
+func (b *builder) link(e *Engine, outFields, outStates []val) {
+	// Name the outputs first: one may be a constant no operator used.
+	roots := make([]int32, 0, len(outFields)+len(outStates))
+	for _, v := range slices.Concat(outFields, outStates) {
+		roots = append(roots, b.operand(v))
 	}
+	// The walk names each value by an id: an input keeps its slot, and a
+	// constant or an instruction result takes the next id when first
+	// reached.
+	next := b.nIn
+	constID := make([]int32, len(b.consts))
+	nodeID := make([]int32, len(b.nodes))
+	for _, ids := range [][]int32{constID, nodeID} {
+		for i := range ids {
+			ids[i] = -1
+		}
+	}
+	memo := map[instr]int32{} // dst zeroed
+	loaded := make([]bool, b.nIn)
+	var prog []instr
+	var visit func(a int32) int32
+	visit = func(a int32) int32 {
+		if a < 0 {
+			k := -1 - a
+			if constID[k] < 0 {
+				constID[k] = next
+				next++
+			}
+			return constID[k]
+		}
+		if a < b.nIn {
+			loaded[a] = true
+			return a
+		}
+		n := a - b.nIn
+		if nodeID[n] >= 0 {
+			return nodeID[n]
+		}
+		nd := b.nodes[n]
+		if nd.op == opMux {
+			// A mux whose arms are one value is that value; its
+			// condition is never reached.
+			if t := visit(nd.args[1]); t == visit(nd.args[2]) {
+				nodeID[n] = t
+				return t
+			}
+		}
+		ops := [3]int32{-1, -1, -1}
+		for i := range arity[nd.op] {
+			ops[i] = visit(nd.args[i])
+		}
+		in := instr{op: nd.op, a: ops[0], b: ops[1], c: ops[2]}
+		id, ok := memo[in]
+		if !ok {
+			id = next
+			next++
+			memo[in] = id
+			in.dst = id
+			prog = append(prog, in)
+		}
+		nodeID[n] = id
+		return id
+	}
+	outs := make([]int32, len(roots))
+	for i, a := range roots {
+		outs[i] = visit(a)
+	}
+
+	reg := make([]int32, next)
+	for i := range reg {
+		reg[i] = -1
+	}
+	number := func(id int32) int32 {
+		reg[id] = int32(e.nregs)
+		e.nregs++
+		return reg[id]
+	}
+	var live []int
+	for k, id := range constID {
+		if id >= 0 {
+			live = append(live, k)
+		}
+	}
+	slices.SortFunc(live, func(x, y int) int { return cmp.Compare(b.consts[x], b.consts[y]) })
+	for _, k := range live {
+		number(constID[k])
+		e.consts = append(e.consts, b.consts[k])
+	}
+	nf := int32(len(e.fields))
+	for id := range b.nIn {
+		if !loaded[id] {
+			continue
+		}
+		if id < nf {
+			e.fieldIn = append(e.fieldIn, load{src: id, dst: number(id)})
+		} else {
+			e.stateIn = append(e.stateIn, load{src: id - nf, dst: number(id)})
+		}
+	}
+	for i := range prog {
+		number(prog[i].dst)
+	}
+	at := func(id int32) int32 {
+		if id < 0 {
+			return id
+		}
+		return reg[id]
+	}
+	e.prog = make([]instr, len(prog))
+	for i, in := range prog {
+		e.prog[i] = instr{op: in.op, dst: reg[in.dst], a: at(in.a), b: at(in.b), c: at(in.c)}
+	}
+	for i, id := range outs {
+		if i < len(outFields) {
+			e.fieldOut = append(e.fieldOut, reg[id])
+		} else {
+			e.stateOut = append(e.stateOut, reg[id])
+		}
+	}
+}
+
+// Buf is one goroutine's register file. Engines share; Bufs don't.
+type Buf struct {
+	regs []uint64
+}
+
+// NewBuf allocates a register file for the engine, constants preloaded.
+func (e *Engine) NewBuf() *Buf {
+	regs := make([]uint64, e.nregs)
+	copy(regs, e.consts)
+	return &Buf{regs: regs}
 }
 
 // ExecInto runs one packet transaction: fields (len NumFields) and states
 // (len NumStates) are truncated to the datapath width on entry and
 // overwritten with the outputs. Bit-identical to pisa.Config.Exec;
 // allocation-free.
-func (e *Engine) ExecInto(b *Buf, fields, states []uint64) {
-	w := e.grid.WordWidth
-	ns := e.ns
-	cur, next := b.cur, b.next
+func (e *Engine) ExecInto(b *Buf, fields, states []uint64) { e.run(b, fields, fields, states) }
 
-	for j, f := range e.fieldSrc {
-		if f >= 0 {
-			cur[j] = w.Trunc(fields[f])
-		} else {
-			cur[j] = 0
-		}
+// run is ExecInto reading the packet's fields from in and writing its
+// outputs to out, which may alias in.
+func (e *Engine) run(b *Buf, in, out, states []uint64) {
+	w := e.w
+	r := b.regs
+	for _, l := range e.fieldIn {
+		r[l.dst] = w.Trunc(in[l.src])
 	}
-	for i := range b.state {
-		if i < len(states) {
-			b.state[i] = w.Trunc(states[i])
-		} else {
-			b.state[i] = 0
-		}
+	for _, l := range e.stateIn {
+		r[l.dst] = w.Trunc(states[l.src])
 	}
-
-	for i := range e.stages {
-		st := &e.stages[i]
-		for k := range st.sf {
-			p := &st.sf[k]
-			base := p.slot * ns
-			var s0, s1, p0, p1 uint64
-			if p.active {
-				s0 = b.state[base]
-				if ns > 1 {
-					s1 = b.state[base+1]
-				}
-			}
-			p0 = cur[p.pktIdx[0]]
-			if e.npkt > 1 {
-				p1 = cur[p.pktIdx[1]]
-			}
-			if p.outRef {
-				b.sfOut[p.slot] = p.out(s0, s1, p0, p1)
-			}
-			if p.active {
-				b.state[base] = p.newSt[0](s0, s1, p0, p1)
-				if ns > 1 {
-					b.state[base+1] = p.newSt[1](s0, s1, p0, p1)
-				}
-			}
-		}
-		for j := range st.route {
-			if src := st.route[j]; src >= 0 {
-				next[j] = b.sfOut[src]
-			} else {
-				pl := &st.sl[j]
-				next[j] = pl.fn(0, 0, cur[pl.ia], cur[pl.ib])
-			}
-		}
-		cur, next = next, cur
+	exec(w, e.prog, r)
+	for f, src := range e.fieldOut {
+		out[f] = r[src]
 	}
-	b.cur, b.next = cur, next
-
-	for f, j := range e.fieldOut {
-		if j >= 0 {
-			fields[f] = cur[j]
-		} else {
-			fields[f] = 0
-		}
-	}
-	copy(states, b.state[:len(states)])
-}
-
-// ExecBatch runs n packet transactions against one state vector (one
-// flow). pkts is row-major, n × NumFields, updated in place with each
-// packet's outputs; states (len NumStates) carries across packets exactly
-// as chained Config.Exec calls would.
-func (e *Engine) ExecBatch(b *Buf, pkts []uint64, n int, states []uint64) {
-	nf := len(e.fields)
-	if len(pkts) < n*nf {
-		panic(fmt.Sprintf("linerate: batch of %d packets needs %d values, got %d", n, n*nf, len(pkts)))
-	}
-	for i := 0; i < n; i++ {
-		e.ExecInto(b, pkts[i*nf:(i+1)*nf], states)
+	for s, src := range e.stateOut {
+		states[s] = r[src]
 	}
 }

@@ -3,6 +3,8 @@ package linerate_test
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,7 +27,7 @@ var (
 	corpusCfgs map[string]*pisa.Config
 )
 
-func corpusConfigs(t *testing.T) map[string]*pisa.Config {
+func corpusConfigs(t testing.TB) map[string]*pisa.Config {
 	t.Helper()
 	corpusOnce.Do(func() {
 		corpusCfgs = map[string]*pisa.Config{}
@@ -158,48 +160,6 @@ func TestCompiledMatchesInterpRandom(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestExecBatchChainsState pins ExecBatch to the packet-at-a-time chain:
-// one flow, state carried across packets, outputs written in place.
-func TestExecBatchChainsState(t *testing.T) {
-	cfgs := corpusConfigs(t)
-	for _, name := range []string{"flowlet", "sampling"} {
-		cfg, ok := cfgs[name]
-		if !ok {
-			t.Fatalf("corpus missing %s", name)
-		}
-		eng, err := linerate.Compile(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nf := len(cfg.Fields)
-		const n = 257
-		rng := rand.New(rand.NewSource(9))
-		batch := make([]uint64, n*nf)
-		for i := range batch {
-			batch[i] = rng.Uint64()
-		}
-		refPkts := append([]uint64(nil), batch...)
-		refSt := make([]uint64, len(cfg.States))
-		scratch := cfg.NewScratch()
-		for i := 0; i < n; i++ {
-			cfg.ExecInto(scratch, refPkts[i*nf:(i+1)*nf], refSt)
-		}
-
-		gotSt := make([]uint64, len(cfg.States))
-		eng.ExecBatch(eng.NewBuf(), batch, n, gotSt)
-		for i := range batch {
-			if batch[i] != refPkts[i] {
-				t.Fatalf("%s: batch output %d: engine=%d interp=%d", name, i, batch[i], refPkts[i])
-			}
-		}
-		for i := range gotSt {
-			if gotSt[i] != refSt[i] {
-				t.Fatalf("%s: final state %d: engine=%d interp=%d", name, i, gotSt[i], refSt[i])
-			}
-		}
 	}
 }
 
@@ -347,5 +307,258 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	bad.Grid.WordWidth = 0
 	if _, err := linerate.Compile(&bad); err == nil {
 		t.Fatal("Compile accepted an invalid config")
+	}
+}
+
+// TestReplayAllocationsFlat: a replay's allocations depend on the flow
+// count, not the trace length — per-flow states share one backing array.
+func TestReplayAllocationsFlat(t *testing.T) {
+	cfg, ok := corpusConfigs(t)["flowlet"]
+	if !ok {
+		t.Fatal("corpus missing flowlet")
+	}
+	eng, err := linerate.Compile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(packets int) float64 {
+		trace := workload.Generate(workload.Spec{Flows: 64, Packets: packets, ZipfS: 1.0, Seed: 3})
+		remapTraceFields(trace, cfg.Fields)
+		flows, vals, nFlows := workload.Flatten(trace, cfg.Fields)
+		return testing.AllocsPerRun(3, func() { linerate.Replay(eng, flows, vals, nFlows) })
+	}
+	if short, long := allocs(1_000), allocs(100_000); short != long {
+		t.Fatalf("Replay allocates %.0f objects for 1k packets but %.0f for 100k", short, long)
+	}
+}
+
+// TestCorpusInstructionCounts pins each corpus configuration's register
+// program length, so a lost fold, shared subexpression or dead-code
+// elimination fails here rather than only in a benchmark number.
+func TestCorpusInstructionCounts(t *testing.T) {
+	want := map[string]int{
+		"rcp":             11,
+		"flowlet":         5,
+		"blue_increase":   5,
+		"blue_decrease":   5,
+		"marple_reorder":  5,
+		"sampling":        3,
+		"stateful_fw":     3,
+		"marple_new_flow": 2,
+	}
+	cfgs := corpusConfigs(t)
+	for name, n := range want {
+		cfg, ok := cfgs[name]
+		if !ok {
+			t.Errorf("corpus missing %s", name)
+			continue
+		}
+		eng, err := linerate.Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := linerate.NumInstrs(eng); got != n {
+			t.Errorf("%s compiles to %d instructions, want %d:\n%s", name, got, n, strings.Join(linerate.Listing(eng), "\n"))
+		}
+	}
+	if len(cfgs) != len(want) {
+		t.Errorf("corpus has %d configurations, the table pins %d", len(cfgs), len(want))
+	}
+}
+
+// cloneConfig deep-copies a configuration's hole values so a test can
+// perturb them.
+func cloneConfig(cfg *pisa.Config) *pisa.Config {
+	cp := *cfg
+	cp.Values = pisa.MapHoles(cfg.Values, func(v uint64) uint64 { return v })
+	return &cp
+}
+
+// TestDeadALUsLeaveProgramUnchanged: an ALU no output reads contributes
+// no instruction, so rewriting its holes must not change the program. The
+// dead ALUs are a stateless ALU whose container's output mux selects a
+// stateful output, a last-stage stateless ALU whose container no field
+// unloads, and a stateful ALU that is inactive and that no output mux
+// selects.
+func TestDeadALUsLeaveProgramUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cfgs := map[string]*pisa.Config{}
+	for name, cfg := range corpusConfigs(t) {
+		cfgs[name] = cfg
+	}
+	// No corpus configuration leaves a container unread, so one more: a
+	// width-2 grid carrying one field, whose second container is dead.
+	{
+		g := pisa.GridSpec{Stages: 1, Width: 2, WordWidth: 10, StatefulALU: alu.Stateful{Kind: alu.PredRaw}}
+		h := pisa.NewHoles[uint64](g, false, 1, func(string, int, bool) uint64 { return 0 })
+		for j := 0; j < 2; j++ {
+			h.Stateless[0][j]["opcode"] = alu.SlOpAddImm // pkt.x + 3
+			h.Stateless[0][j]["imm"] = 3
+			h.OMux[0][j] = 2
+		}
+		cfgs["one field, two containers"] = &pisa.Config{Grid: g, Fields: []string{"x"}, Values: h}
+	}
+	names := make([]string, 0, len(cfgs))
+	for name := range cfgs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	counts := map[string]int{}
+	for _, name := range names {
+		cfg := cfgs[name]
+		eng, err := linerate.Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := linerate.Listing(eng)
+		g, h := cfg.Grid, cfg.Values
+		w := g.WordWidth
+		unloaded := func(j int) bool {
+			if h.FieldAlloc == nil {
+				return j < len(cfg.Fields)
+			}
+			for f := range h.FieldAlloc {
+				if h.FieldAlloc[f][j] != 0 {
+					return true
+				}
+			}
+			return false
+		}
+		for i := 0; i < g.Stages; i++ {
+			selected := make([]bool, g.Width+1)
+			for j := 0; j < g.Width; j++ {
+				selected[w.SelIdx(h.OMux[i][j], g.Width+1)] = true
+			}
+			for j := 0; j < g.Width; j++ {
+				routed := w.SelIdx(h.OMux[i][j], g.Width+1) < g.Width
+				dead := map[string]func(*pisa.Config) map[string]uint64{}
+				if routed {
+					dead["routed-over stateless"] = func(c *pisa.Config) map[string]uint64 { return c.Values.Stateless[i][j] }
+				}
+				if !routed && i == g.Stages-1 && !unloaded(j) {
+					dead["unread stateless"] = func(c *pisa.Config) map[string]uint64 { return c.Values.Stateless[i][j] }
+				}
+				if h.SaluActive[i][j] == 0 && !selected[j] {
+					dead["idle stateful"] = func(c *pisa.Config) map[string]uint64 { return c.Values.Stateful[i][j] }
+				}
+				for kind, holes := range dead {
+					counts[kind]++
+					for trial := 0; trial < 20; trial++ {
+						mut := cloneConfig(cfg)
+						for k := range holes(mut) {
+							holes(mut)[k] = rng.Uint64() & 0xf
+						}
+						got, err := linerate.Compile(mut)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if l := linerate.Listing(got); !slices.Equal(l, want) {
+							t.Fatalf("%s: perturbing the %s ALU at stage %d slot %d changed the program:\n%s\nwant:\n%s",
+								name, kind, i, j, strings.Join(l, "\n"), strings.Join(want, "\n"))
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"routed-over stateless", "unread stateless", "idle stateful"} {
+		if counts[kind] == 0 {
+			t.Errorf("the corpus has no %s ALU; the test needs one", kind)
+		}
+	}
+}
+
+// TestCommonSubexpressionsComputedOnce: a value two outputs read is
+// computed once — a pred_raw ALU's predicate, which its output mux reads
+// and which guards its new state, and a sum two stateless ALUs compute
+// from the same containers.
+func TestCommonSubexpressionsComputedOnce(t *testing.T) {
+	predicate := func() *pisa.Config {
+		g := pisa.GridSpec{Stages: 1, Width: 1, WordWidth: 10, StatefulALU: alu.Stateful{Kind: alu.PredRaw}}
+		h := pisa.NewHoles[uint64](g, false, 1, func(string, int, bool) uint64 { return 0 })
+		sf := h.Stateful[0][0]
+		sf["rel"] = alu.RelLt         // state < pkt.x
+		sf["cmp_lmux"] = 0            // left: state
+		sf["cmp_rmux"] = 1            // right: pkt.x
+		sf["upd_mode"] = alu.UpdAddOp // state + pkt.x
+		sf["upd_mux"] = 1
+		sf["out_sel"] = alu.OutPred
+		h.SaluActive[0][0] = 1
+		h.OMux[0][0] = 0 // container 0 reads stateful slot 0's output
+		return &pisa.Config{Grid: g, Fields: []string{"x"}, States: []string{"s"}, Values: h}
+	}
+	sum := func() *pisa.Config {
+		g := pisa.GridSpec{Stages: 1, Width: 2, WordWidth: 10, StatefulALU: alu.Stateful{Kind: alu.PredRaw}}
+		h := pisa.NewHoles[uint64](g, false, 2, func(string, int, bool) uint64 { return 0 })
+		for j := 0; j < 2; j++ {
+			sl := h.Stateless[0][j]
+			sl["opcode"] = alu.SlOpAdd // pkt.x + pkt.y
+			sl["imux1"], sl["imux2"] = 0, 1
+			h.OMux[0][j] = 2 // container j keeps its stateless ALU's result
+		}
+		return &pisa.Config{Grid: g, Fields: []string{"x", "y"}, Values: h}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  *pisa.Config
+		op   string
+	}{
+		{"pred_raw predicate", predicate(), "lt"},
+		{"stateless sum", sum(), "add"},
+	} {
+		eng, err := linerate.Compile(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listing := strings.Join(linerate.Listing(eng), "\n")
+		if n := strings.Count(listing, " = "+tc.op+" "); n != 1 {
+			t.Fatalf("%s: %s is computed %d times, want 1:\n%s", tc.name, tc.op, n, listing)
+		}
+		// The program must still be the configuration's meaning.
+		nVars := len(tc.cfg.Fields) + len(tc.cfg.States)
+		scratch, buf := tc.cfg.NewScratch(), eng.NewBuf()
+		rng := rand.New(rand.NewSource(5))
+		ref, got := make([]uint64, nVars), make([]uint64, nVars)
+		for trial := 0; trial < 200; trial++ {
+			for i := range ref {
+				ref[i] = rng.Uint64() & 0x3ff
+			}
+			copy(got, ref)
+			in := slices.Clone(ref)
+			nf := len(tc.cfg.Fields)
+			tc.cfg.ExecInto(scratch, ref[:nf], ref[nf:])
+			eng.ExecInto(buf, got[:nf], got[nf:])
+			if !slices.Equal(ref, got) {
+				t.Fatalf("%s: input %v: engine %v, interpreter %v", tc.name, in, got, ref)
+			}
+		}
+	}
+}
+
+// BenchmarkReplay replays a 64-flow Zipf trace through each corpus
+// configuration on one worker and reports the cost per packet.
+func BenchmarkReplay(b *testing.B) {
+	cfgs := corpusConfigs(b)
+	names := make([]string, 0, len(cfgs))
+	for name := range cfgs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		cfg := cfgs[name]
+		b.Run(name, func(b *testing.B) {
+			eng, err := linerate.Compile(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			trace := workload.Generate(workload.Spec{Flows: 64, Packets: 50_000, ZipfS: 1.0, Seed: 7})
+			remapTraceFields(trace, cfg.Fields)
+			flows, vals, nFlows := workload.Flatten(trace, cfg.Fields)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				linerate.Replay(eng, flows, vals, nFlows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(flows)), "ns/pkt")
+		})
 	}
 }

@@ -81,21 +81,27 @@ func replayShard(e *Engine, flows []int, fields []uint64, nFlows, shard, workers
 			len(flows), len(flows)*nf, len(fields)))
 	}
 	buf := e.NewBuf()
+	// One backing array for every flow's state keeps the allocation count
+	// independent of how many flows the shard sees.
+	backing := make([]uint64, nFlows*nst)
 	states := make([][]uint64, nFlows)
 	sums := make([]uint64, nFlows)
 	pkt := make([]uint64, nf)
 	res := ReplayResult{FlowStates: states}
 	for i, flow := range flows {
-		if flow%workers != shard {
+		// A single worker owns every flow; skipping the division shows
+		// at tens of nanoseconds per packet.
+		if workers > 1 && flow%workers != shard {
 			continue
 		}
 		st := states[flow]
 		if st == nil {
-			st = make([]uint64, nst)
+			st = backing[flow*nst : (flow+1)*nst : (flow+1)*nst]
 			states[flow] = st
 		}
-		copy(pkt, fields[i*nf:(i+1)*nf])
-		e.ExecInto(buf, pkt, st)
+		// The trace row is the input, pkt the output: the trace stays
+		// unmodified without a per-packet copy.
+		e.run(buf, fields[i*nf:(i+1)*nf], pkt, st)
 		c := sums[flow]
 		for _, v := range pkt {
 			c = checksumMix(c, v)

@@ -24,7 +24,6 @@ package chipmunk_test
 
 import (
 	"context"
-	"os"
 	"testing"
 	"time"
 
@@ -37,15 +36,6 @@ import (
 	"repro/internal/word"
 	"repro/internal/workload"
 )
-
-// benchOutPath resolves a benchmark artifact path: CHIPMUNK_BENCH_OUT
-// overrides the per-benchmark default when set.
-func benchOutPath(def string) string {
-	if out := os.Getenv("CHIPMUNK_BENCH_OUT"); out != "" {
-		return out
-	}
-	return def
-}
 
 func benchOptions(b chipmunk.Benchmark) chipmunk.Options {
 	return chipmunk.Options{

@@ -385,7 +385,7 @@ func TestCLIChipmunkTraceOutWriteFailure(t *testing.T) {
 }
 
 // TestCLIChipmunkVerbose: -v prints the compile's spans as they end,
-// through the renderer -watch uses, and portfolio attempts carry their
+// through the renderer -watch uses, and hedged attempts carry their
 // member label.
 func TestCLIChipmunkVerbose(t *testing.T) {
 	bin := buildTool(t, "chipmunk")
@@ -399,12 +399,12 @@ func TestCLIChipmunkVerbose(t *testing.T) {
 	if strings.Contains(string(out), "sat.solve") {
 		t.Errorf("-v output should elide sat.solve spans:\n%s", out)
 	}
-	out, err = exec.Command(bin, "-v", "-parallel", "2", "-seed-fanout", "2", samplingPath(t)).CombinedOutput()
+	out, err = exec.Command(bin, "-v", "-seed-fanout", "2", samplingPath(t)).CombinedOutput()
 	if err != nil {
-		t.Fatalf("chipmunk -v -parallel 2 failed: %v\n%s", err, out)
+		t.Fatalf("chipmunk -v -seed-fanout 2 failed: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "> attempt member=") {
-		t.Errorf("-v -parallel output lacks attempt lines with member=:\n%s", out)
+		t.Errorf("-v -seed-fanout output lacks attempt lines with member=:\n%s", out)
 	}
 }
 

@@ -73,9 +73,7 @@ func run() error {
 		explain     = flag.Bool("explain", false, "on an infeasible verdict, run UNSAT-core forensics and report the binding resource and blamed statements")
 		seed        = flag.Int64("seed", 1, "random seed for CEGIS test inputs")
 		symmetry    = flag.Bool("symmetry", false, "add symmetry-breaking clauses to the synthesis encoding (pisa only)")
-		parallel    = flag.Int("parallel", 1, "portfolio parallelism: race stage depths and seeds on this many workers (1 = sequential)")
-		seedFanout  = flag.Int("seed-fanout", 1, "diversified CEGIS seeds raced per stage depth in portfolio mode")
-		raceAllocs  = flag.Bool("race-allocs", false, "also race the opposite field-allocation mode in portfolio mode")
+		seedFanout  = flag.Int("seed-fanout", 1, "seed hedging: CEGIS seeds per depth, slot k joining k*500ms after slot 0 (1 = sequential)")
 		asJSON      = flag.Bool("json", false, "emit the configuration as JSON")
 		emitLang    = flag.String("emit", "", "translate the configuration to low-level code: \"go\" or \"p4\" (pisa), \"bpfc\" (bpf)")
 		verbose     = flag.Bool("v", false, "print the compile's spans and SAT progress notes to stderr as they happen")
@@ -125,7 +123,6 @@ func run() error {
 			SynthWidth:    *synthWidth,
 			VerifyWidth:   *verifyWidth,
 			Seed:          *seed,
-			Parallel:      *parallel,
 			SeedFanout:    *seedFanout,
 			Explain:       *explain,
 			SymmetryBreak: *symmetry,
@@ -150,9 +147,7 @@ func run() error {
 		Explain:        *explain,
 		Seed:           *seed,
 		SymmetryBreak:  *symmetry,
-		Parallelism:    *parallel,
 		SeedFanout:     *seedFanout,
-		RaceAllocs:     *raceAllocs,
 	}
 	var cache *solcache.Cache
 	if *cachePath != "" {
@@ -431,12 +426,10 @@ func depthSummary(rep *core.Report) string {
 		}
 		verdict := "infeasible"
 		switch {
-		case d.Feasible:
-			verdict = "feasible"
-		case d.Pruned:
-			verdict = "pruned by depth floor"
 		case d.Canceled:
 			verdict = "canceled"
+		case d.Feasible:
+			verdict = "feasible"
 		case d.TimedOut:
 			verdict = "timeout"
 		}

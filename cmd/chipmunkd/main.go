@@ -11,11 +11,10 @@
 //	          [-trace-dir DIR] [-slow-job 30s]
 //	          [-log-level info] [-log-format text]
 //
-// -job-parallelism caps how much intra-job portfolio racing a request's
-// "parallel" field may buy (1 = always sequential). Startup fails when
-// workers x job-parallelism would oversubscribe GOMAXPROCS by more than
-// 2x; /metrics exposes the portfolio.inflight gauge of attempts racing
-// across all jobs.
+// -job-parallelism caps a request's "seed_fanout", the seed slots its
+// compile hedges each depth across (1 = always sequential). Startup fails
+// when workers x job-parallelism would oversubscribe GOMAXPROCS by more
+// than 2x.
 //
 // Observability: every job runs under its own tracer with a bounded
 // flight recorder; with -trace-dir, jobs that time out or fail leave a
@@ -77,7 +76,7 @@ func run() error {
 		workers    = flag.Int("workers", 0, "concurrent compile workers (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue", 64, "bounded job queue depth; a full queue returns 429")
 		jobTimeout = flag.Duration("job-timeout", 2*time.Minute, "per-job compile timeout")
-		jobPar     = flag.Int("job-parallelism", 1, "max intra-job portfolio parallelism a request may ask for (1 = sequential)")
+		jobPar     = flag.Int("job-parallelism", 1, "max seed fanout (hedge slots per depth) a request may ask for (1 = sequential)")
 		cacheSize  = flag.Int("cache-size", solcache.DefaultCapacity, "solution-cache capacity (entries)")
 		cachePath  = flag.String("cache-path", "", "persist the solution cache to this JSON file across restarts")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long a graceful shutdown waits for in-flight jobs")

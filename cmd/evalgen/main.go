@@ -37,8 +37,7 @@ func run() error {
 		seed      = flag.Int64("seed", 42, "mutation and CEGIS seed")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-mutant Chipmunk compile timeout")
 		parallel  = flag.Int("parallel", 0, "concurrent compilations (0 = GOMAXPROCS)")
-		intraPar  = flag.Int("intra-parallel", 1, "portfolio parallelism inside each compilation (1 = sequential)")
-		fanout    = flag.Int("seed-fanout", 1, "diversified CEGIS seeds raced per stage depth in portfolio mode")
+		fanout    = flag.Int("seed-fanout", 1, "seed hedging inside each compilation: CEGIS seeds per depth (1 = sequential)")
 		progs     = flag.String("programs", "", "comma-separated subset of the corpus (default: all 8)")
 		table2    = flag.Bool("table2", false, "print Table 2 only")
 		figure5   = flag.Bool("figure5", false, "print Figure 5 only")
@@ -52,14 +51,13 @@ func run() error {
 	flag.Parse()
 
 	opts := eval.Options{
-		Mutants:          *mutants,
-		Seed:             *seed,
-		Timeout:          *timeout,
-		Parallel:         *parallel,
-		IntraParallelism: *intraPar,
-		SeedFanout:       *fanout,
-		BPF:              *withBPF,
-		Explain:          *explain,
+		Mutants:    *mutants,
+		Seed:       *seed,
+		Timeout:    *timeout,
+		Parallel:   *parallel,
+		SeedFanout: *fanout,
+		BPF:        *withBPF,
+		Explain:    *explain,
 	}
 	if *progs != "" {
 		opts.Programs = strings.Split(*progs, ",")

@@ -28,7 +28,7 @@
 // internal/sketch adapts the PISA grid onto these interfaces;
 // internal/bpf implements a restricted eBPF-style register machine.
 // internal/cegis and internal/core consume only the interfaces, so every
-// subsystem above the seam (cache, portfolio, difftest, daemon) gains new
+// subsystem above the seam (cache, seed hedging, difftest, daemon) gains new
 // targets for free.
 package backend
 
@@ -42,7 +42,7 @@ import (
 // single "size" axis that the core's iterative-deepening loop minimizes
 // (pipeline stages for PISA, instruction slots for BPF). Implementations
 // are plain values configured with their machine description; they must be
-// safe for concurrent use (portfolio members share one Backend).
+// safe for concurrent use (hedge slots share one Backend).
 type Backend interface {
 	// Target names the backend ("pisa", "bpf"). It participates in the
 	// solution cache fingerprint, so two backends must never share a name.

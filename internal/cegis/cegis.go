@@ -84,11 +84,10 @@ type Options struct {
 	MaxIters int
 	// Seed drives the initial random test inputs.
 	Seed int64
-	// Member labels the portfolio attempt this synthesis run belongs to
-	// (internal/portfolio). It is attached to iteration spans so
-	// concurrent attempts within one compile stay attributable,
-	// and echoed on the Result so the winner can be reported. Empty
-	// outside portfolio mode.
+	// Member labels the hedge slot this synthesis run belongs to (e.g.
+	// "d2.s1"; see core.Options.SeedFanout). It is attached to iteration
+	// spans so concurrent attempts within one compile stay attributable.
+	// Empty without hedging.
 	Member string
 	// Care weakens the correctness condition to the paper's §5.2
 	// approximate synthesis: a Domino expression over the program's
@@ -129,10 +128,6 @@ func (o *Options) maxIters() int {
 
 // Result is the outcome of a synthesis run.
 type Result struct {
-	// Member echoes Options.Member so a portfolio scheduler racing many
-	// Synthesize calls can attribute each result (in particular the
-	// winner's) without extra bookkeeping.
-	Member string
 	// Target names the backend this run synthesized for ("pisa", "bpf").
 	Target string
 	// Feasible reports whether a configuration implementing the program
@@ -252,7 +247,7 @@ func Synthesize(ctx context.Context, prog *ast.Program, grid pisa.GridSpec, opts
 // synthesis solver, the counterexample feedback — is shared.
 func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options) (*Result, error) {
 	start := time.Now()
-	res := &Result{Member: opts.Member, Target: be.Target()}
+	res := &Result{Target: be.Target()}
 	defer func() { res.Elapsed = time.Since(start) }()
 	l, err := newLoop(ctx, prog, be, size, opts, res, false)
 	if err != nil {
@@ -317,6 +312,7 @@ type loop struct {
 	tiers    []word.Width
 	pending  []test
 	care     ast.Expr
+	member   string
 	res      *Result
 	reg      *obs.Registry
 	gated    bool
@@ -331,7 +327,7 @@ func newLoop(ctx context.Context, prog *ast.Program, be backend.Backend, size in
 	if err := checkCare(opts.Care, vars); err != nil {
 		return nil, err
 	}
-	l := &loop{prog: prog, fields: vars.Fields, states: vars.States, care: opts.Care, res: res, reg: obs.MetricsFrom(ctx), gated: gated}
+	l := &loop{prog: prog, fields: vars.Fields, states: vars.States, care: opts.Care, member: opts.Member, res: res, reg: obs.MetricsFrom(ctx), gated: gated}
 
 	// Capacity pre-check: a definitive "does not fit" from the backend
 	// (more fields than containers/registers) is a clean infeasible
@@ -402,8 +398,8 @@ func (l *loop) run(ctx context.Context, maxIters int) (verdict, backend.Config, 
 		l.res.Iters = iter
 		l.reg.Counter("cegis.iterations").Add(1)
 		iterAttrs := []obs.Attr{obs.Int("iter", iter)}
-		if l.res.Member != "" {
-			iterAttrs = append(iterAttrs, obs.String("member", l.res.Member))
+		if l.member != "" {
+			iterAttrs = append(iterAttrs, obs.String("member", l.member))
 		}
 		iterCtx, iterSpan := obs.StartSpan(ctx, "cegis.iter", iterAttrs...)
 		v, cfg, err := l.iterate(iterCtx, iter)
@@ -727,7 +723,7 @@ func (ws *workspace) verify(ctx context.Context, prog *ast.Program, care ast.Exp
 // solveWithContext runs the solver under the assumptions and the
 // context's cancellation. The primary mechanism is the solver's in-search
 // stop hook (sat.SetStop), which polls the context every few hundred
-// conflicts so cancelled portfolio members abort mid-solve; the
+// conflicts so cancelled hedge slots abort mid-solve; the
 // budgeted-chunk loop remains as a fallback for solvers whose hook a
 // caller has displaced.
 func solveWithContext(ctx context.Context, s *sat.Solver, assumptions ...sat.Lit) (sat.Status, bool) {

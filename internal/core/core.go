@@ -34,7 +34,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perfhist"
 	"repro/internal/pisa"
-	"repro/internal/portfolio"
 	"repro/internal/sketch"
 	"repro/internal/solcache"
 	"repro/internal/word"
@@ -84,21 +83,14 @@ type Options struct {
 	FixedStages bool
 	// Seed drives CEGIS's initial random test inputs.
 	Seed int64
-	// Parallelism, when >= 2, compiles via the portfolio scheduler
-	// (internal/portfolio): candidate stage depths race concurrently on a
-	// worker pool of this size instead of being probed sequentially, with
-	// first-SAT-wins semantics that still return the minimum-depth
-	// solution. 0 or 1 run the classic sequential iterative-deepening
-	// loop, bit-for-bit identical to the pre-portfolio behaviour.
-	Parallelism int
-	// SeedFanout is how many diversified CEGIS seeds race per stage depth
-	// in portfolio mode (0 or 1 = just Seed). Diversified seeds join with
-	// a small stagger so fast compiles pay no redundancy cost, while
-	// heavy-tailed solves recruit rivals that often finish first.
+	// SeedFanout, when above 1, hedges each depth's attempt across this
+	// many CEGIS seeds: seed slot 0 (Seed) starts at once and slot k
+	// (Seed + k*1_000_003) joins k*500ms later at the same depth, until
+	// the first definitive verdict cancels the rest. A depth that resolves
+	// inside the stagger never starts a hedge, while a heavy-tailed solve
+	// recruits rivals that often finish first. 0 or 1 run the sequential
+	// deepening loop alone.
 	SeedFanout int
-	// RaceAllocs additionally races the opposite field-allocation mode
-	// (canonical vs indicator) for every portfolio member.
-	RaceAllocs bool
 	// Cache, when non-nil, memoizes compilation outcomes by canonical
 	// problem fingerprint (internal/solcache). Warm hits return the stored
 	// configuration without invoking CEGIS; concurrent compilations of the
@@ -149,23 +141,21 @@ func bpfBackend(opts Options) bpf.Backend {
 	}}
 }
 
-// backendFor maps Options onto a backend.Backend. The pisa adapter's
-// allocation mode is the per-attempt cegis option, so it is passed
-// explicitly (portfolio members race both modes); symmetry breaking is
-// passed explicitly too, because the forensics pass must build a
+// backendFor maps Options onto a backend.Backend. Symmetry breaking is
+// passed explicitly, because the forensics pass must build a
 // symmetry-free backend so UNSAT cores blame only real resources.
-func backendFor(opts Options, indicatorAlloc, symmetry bool) (backend.Backend, error) {
+func backendFor(opts Options, symmetry bool) (backend.Backend, error) {
 	switch opts.targetName() {
 	case "pisa":
-		return sketch.PISABackend{Grid: gridSpec(opts), Opts: sketch.Options{IndicatorAlloc: indicatorAlloc, SymmetryBreak: symmetry}}, nil
+		return sketch.PISABackend{Grid: gridSpec(opts), Opts: sketch.Options{IndicatorAlloc: opts.IndicatorAlloc, SymmetryBreak: symmetry}}, nil
 	case "bpf":
 		return bpfBackend(opts), nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, opts.Target)
 }
 
-// DepthResult records one iterative-deepening probe (or one portfolio
-// member's attempt).
+// DepthResult records one iterative-deepening probe (or one hedge slot's
+// attempt at a depth).
 type DepthResult struct {
 	Stages   int
 	Feasible bool
@@ -173,18 +163,15 @@ type DepthResult struct {
 	Iters    int
 	HoleBits int
 	Elapsed  time.Duration
-	// Seed is the CEGIS seed the probe used (portfolio fanout diversifies
-	// it per member).
+	// Seed is the CEGIS seed the probe used (seed hedging diversifies it
+	// per slot).
 	Seed int64
-	// Member labels the portfolio member that ran this probe (e.g.
-	// "d2.s1.canon"); empty on the sequential path.
+	// Member labels the hedge slot that ran this probe (e.g. "d2.s1":
+	// depth 2, seed slot 1); empty unless Options.SeedFanout > 1.
 	Member string
-	// Pruned marks a depth skipped without any SAT effort because the
-	// portfolio's witness-based depth floor proved it infeasible.
-	Pruned bool
-	// Canceled marks a portfolio attempt aborted because a sibling's
-	// result made it moot (superseded by a SAT, or implied infeasible by
-	// a deeper UNSAT).
+	// Canceled marks a hedge slot whose verdict went unused because a
+	// sibling slot decided the depth first; a slot stopped mid-solve that
+	// way is Canceled, not TimedOut.
 	Canceled bool
 	// Solver-effort telemetry for this probe (see cegis.Result).
 	SynthConflicts  int64
@@ -232,16 +219,14 @@ type Report struct {
 	Config *pisa.Config
 	// Usage is the Figure 5 resource report for Config (PISA only).
 	Usage pisa.Usage
-	// Depths records every stage count probed, in order. In portfolio
-	// mode it holds one entry per member that ran (plus Pruned markers
-	// for floor-skipped depths), ordered by depth then seed slot.
+	// Depths records every stage count probed, in order. A hedged compile
+	// holds one entry per seed slot that ran, ordered by depth then slot.
 	Depths []DepthResult
-	// Winner labels the portfolio member that produced Config (empty on
-	// the sequential path).
+	// Winner labels the hedge slot that produced Config (empty unless
+	// Options.SeedFanout > 1).
 	Winner string
-	// WastedConflicts sums the SAT conflicts spent by portfolio members
-	// other than the winner — the redundancy cost of racing. Zero on the
-	// sequential path.
+	// WastedConflicts sums the SAT conflicts of the Canceled slots — the
+	// redundancy cost of hedging. Zero without hedging.
 	WastedConflicts int64
 	// Explanation is the infeasibility-forensics report (Options.Explain):
 	// the binding resource dimension and a minimal blamed constraint set.
@@ -279,7 +264,7 @@ func (r *Report) Effort() Effort {
 func Compile(ctx context.Context, prog *ast.Program, opts Options) (*Report, error) {
 	start := time.Now()
 	rep := &Report{Program: prog.Name, Target: opts.targetName()}
-	if _, err := backendFor(opts, opts.IndicatorAlloc, opts.SymmetryBreak); err != nil {
+	if _, err := backendFor(opts, opts.SymmetryBreak); err != nil {
 		return nil, err
 	}
 
@@ -292,15 +277,12 @@ func Compile(ctx context.Context, prog *ast.Program, opts Options) (*Report, err
 	ctx, span := obs.StartSpan(ctx, "compile",
 		obs.String("program", prog.Name), obs.Int("width", opts.Width))
 	defer func() {
-		pruned := 0
-		for _, d := range rep.Depths {
-			if d.Pruned {
-				pruned++
-			}
+		attrs := []obs.Attr{obs.Bool("feasible", rep.Feasible), obs.Bool("timedout", rep.TimedOut),
+			obs.Bool("cached", rep.Cached), obs.Int("attempts", len(rep.Depths))}
+		if opts.SeedFanout > 1 {
+			attrs = append(attrs, hedgeAttrs(rep)...)
 		}
-		span.End(obs.Bool("feasible", rep.Feasible), obs.Bool("timedout", rep.TimedOut),
-			obs.Bool("cached", rep.Cached), obs.Int("attempts", len(rep.Depths)),
-			obs.Int("pruned", pruned))
+		span.End(attrs...)
 		if opts.History != nil {
 			if p, perr := obs.TracerFrom(ctx).Profile(); perr == nil {
 				opts.History.AppendProfile(prog.Name, p)
@@ -308,20 +290,12 @@ func Compile(ctx context.Context, prog *ast.Program, opts Options) (*Report, err
 		}
 	}()
 
-	// Parallelism >= 2 swaps the sequential iterative-deepening loop for
-	// the portfolio scheduler; both fill rep through the shared attempt
-	// body, so the two paths cannot drift.
-	searchFn := search
-	if opts.Parallelism > 1 {
-		searchFn = searchPortfolio
-	}
-
 	if opts.Cache != nil {
 		key := cacheKey(prog, opts)
 		ran := false
 		sol, err := opts.Cache.Do(ctx, key, func(ctx context.Context) (solcache.Solution, bool, error) {
 			ran = true
-			if err := searchFn(ctx, prog, opts, rep); err != nil {
+			if err := search(ctx, prog, opts, rep); err != nil {
 				return solcache.Solution{}, false, err
 			}
 			sol := solcache.Solution{
@@ -379,7 +353,7 @@ func Compile(ctx context.Context, prog *ast.Program, opts Options) (*Report, err
 		return rep, nil
 	}
 
-	if err := searchFn(ctx, prog, opts, rep); err != nil {
+	if err := search(ctx, prog, opts, rep); err != nil {
 		return nil, err
 	}
 	maybeExplain(ctx, prog, opts, rep)
@@ -397,11 +371,11 @@ func Fingerprint(prog *ast.Program, opts Options) string {
 }
 
 // cacheKey derives the solution-cache fingerprint for a compilation. The
-// seed, the callbacks, the portfolio knobs (Parallelism, SeedFanout,
-// RaceAllocs), and SymmetryBreak are excluded: they steer the search, not
-// the validity of its result — symmetry breaking is verdict-preserving —
-// so one canonical problem keeps one fingerprint regardless of strategy
-// and a portfolio winner populates the same entry a sequential run would.
+// seed, SeedFanout and SymmetryBreak are excluded: they steer the search,
+// not the validity of its result — symmetry breaking is
+// verdict-preserving — so one canonical problem keeps one fingerprint
+// regardless of strategy and a hedge winner populates the same entry a
+// sequential run would.
 func cacheKey(prog *ast.Program, opts Options) solcache.Key {
 	p := solcache.Problem{
 		Program: prog,
@@ -436,12 +410,10 @@ func gridSpec(opts Options) pisa.GridSpec {
 
 // attempt runs one synthesis probe at a fixed program size (stage count
 // for pisa, slot count for bpf): build the backend, run CEGIS, and
-// validate + interpreter-cross-check a feasible configuration. Both the
-// sequential deepening loop and the portfolio scheduler go through this
-// body, so the two paths cannot drift. The returned cegis.Result carries
-// the configuration when feasible.
+// validate + interpreter-cross-check a feasible configuration. The
+// returned cegis.Result carries the configuration when feasible.
 func attempt(ctx context.Context, prog *ast.Program, opts Options, stages int, copts cegis.Options) (DepthResult, *cegis.Result, error) {
-	be, err := backendFor(opts, copts.IndicatorAlloc, opts.SymmetryBreak)
+	be, err := backendFor(opts, opts.SymmetryBreak)
 	if err != nil {
 		return DepthResult{}, nil, err
 	}
@@ -490,29 +462,41 @@ func attempt(ctx context.Context, prog *ast.Program, opts Options, stages int, c
 	return dr, res, nil
 }
 
-// search runs the iterative-deepening synthesis loop, filling rep in place.
+// search runs the iterative-deepening synthesis loop, filling rep in
+// place. Each depth's attempt goes through hedge, which with
+// Options.SeedFanout <= 1 is one plain attempt at Seed.
 func search(ctx context.Context, prog *ast.Program, opts Options, rep *Report) error {
-	copts := cegis.Options{
-		SynthWidth:     opts.SynthWidth,
-		VerifyWidth:    opts.VerifyWidth,
-		IndicatorAlloc: opts.IndicatorAlloc,
-		Seed:           opts.Seed,
-	}
-
 	lo := 1
 	if opts.FixedStages {
 		lo = opts.maxStages()
 	}
 	for stages := lo; stages <= opts.maxStages(); stages++ {
-		dr, res, err := attempt(ctx, prog, opts, stages, copts)
+		slots, won, err := hedge(ctx, opts.SeedFanout, func(ctx context.Context, slot int) (DepthResult, *cegis.Result, error) {
+			copts := cegis.Options{
+				SynthWidth:     opts.SynthWidth,
+				VerifyWidth:    opts.VerifyWidth,
+				IndicatorAlloc: opts.IndicatorAlloc,
+				Seed:           opts.Seed + int64(slot)*seedStride,
+			}
+			if opts.SeedFanout > 1 {
+				copts.Member = fmt.Sprintf("d%d.s%d", stages, slot)
+			}
+			return attempt(ctx, prog, opts, stages, copts)
+		})
 		if err != nil {
 			return err
 		}
-		rep.Depths = append(rep.Depths, dr)
-		if res.TimedOut {
+		for _, s := range slots {
+			rep.Depths = append(rep.Depths, s.dr)
+			if s.dr.Canceled {
+				rep.WastedConflicts += s.dr.SynthConflicts + s.dr.VerifyConflicts
+			}
+		}
+		if won < 0 {
 			rep.TimedOut = true
 			break
 		}
+		res := slots[won].res
 		if !res.Feasible {
 			continue
 		}
@@ -522,140 +506,24 @@ func search(ctx context.Context, prog *ast.Program, opts Options, rep *Report) e
 		if res.Config != nil {
 			rep.Usage = res.Config.Usage()
 		}
+		rep.Winner = slots[won].dr.Member
 		break
 	}
 	return nil
 }
 
-// memberAttempt is what one portfolio member's run yields.
-type memberAttempt struct {
-	dr  DepthResult
-	res *cegis.Result
-}
-
-// searchPortfolio races the candidate stage depths (and diversified
-// seeds/allocation modes) via internal/portfolio, filling rep in place
-// with first-SAT-wins, minimum-depth semantics. Depths below the
-// witness-proven floor (portfolio.DepthFloor) are pruned without SAT
-// effort and recorded as Pruned DepthResults.
-func searchPortfolio(ctx context.Context, prog *ast.Program, opts Options, rep *Report) error {
-	maxS := opts.maxStages()
-	lo := 1
-	if opts.FixedStages {
-		lo = maxS
-	}
-
-	pctx, pspan := obs.StartSpan(ctx, "portfolio",
-		obs.Int("parallelism", opts.Parallelism), obs.Int("fanout", opts.SeedFanout))
-	defer func() {
-		pspan.End(obs.String("winner", rep.Winner),
-			obs.Bool("feasible", rep.Feasible),
-			obs.Int64("wasted_conflicts", rep.WastedConflicts))
-	}()
-
-	floor := lo
-	if !opts.FixedStages && opts.targetName() == "pisa" {
-		// The depth floor's witnesses reason about stateful-ALU placement
-		// on the PISA grid; the BPF slot axis has no analogue, so bpf
-		// races from the minimum size.
-		// The floor's witnesses must run at the width feasibility is
-		// defined at: the CEGIS verification width (raised to the
-		// synthesis width when that is wider, mirroring cegis's clamp).
-		vw := opts.VerifyWidth
-		if vw == 0 {
-			vw = cegis.DefaultVerifyWidth
-		}
-		if sw := opts.SynthWidth; sw > vw {
-			vw = sw
-		}
-		if f := portfolio.DepthFloor(prog, opts.StatefulALU, vw, opts.Seed); f > floor {
-			floor = f
-		}
-		for d := lo; d < floor && d <= maxS; d++ {
-			obs.MetricsFrom(pctx).Counter("portfolio.pruned").Add(1)
-			rep.Depths = append(rep.Depths, DepthResult{Stages: d, Pruned: true})
-		}
-		if floor > maxS {
-			// Every depth in range is witness-proven infeasible; no SAT
-			// effort needed.
-			return nil
+// hedgeAttrs are a hedged compile's span attributes: the winning slot,
+// and the conflicts and milliseconds its Canceled siblings spent.
+func hedgeAttrs(rep *Report) []obs.Attr {
+	var wasted time.Duration
+	for _, d := range rep.Depths {
+		if d.Canceled {
+			wasted += d.Elapsed
 		}
 	}
-
-	spec := portfolio.Spec{
-		MinStages:      floor,
-		MaxStages:      maxS,
-		SeedFanout:     opts.SeedFanout,
-		BaseSeed:       opts.Seed,
-		IndicatorAlloc: opts.IndicatorAlloc,
-		RaceAllocs:     opts.RaceAllocs,
-	}
-	res, err := portfolio.Run(pctx, spec.Members(), opts.Parallelism,
-		func(mctx context.Context, m portfolio.Member) (memberAttempt, portfolio.Verdict, error) {
-			copts := cegis.Options{
-				SynthWidth:     opts.SynthWidth,
-				VerifyWidth:    opts.VerifyWidth,
-				IndicatorAlloc: m.IndicatorAlloc,
-				Seed:           m.Seed,
-				Member:         m.Label,
-			}
-			dr, cres, err := attempt(mctx, prog, opts, m.Stages, copts)
-			if err != nil {
-				return memberAttempt{}, portfolio.Unknown, err
-			}
-			v := portfolio.Infeasible
-			switch {
-			case cres.TimedOut:
-				v = portfolio.TimedOut
-			case cres.Feasible:
-				v = portfolio.Feasible
-			}
-			return memberAttempt{dr: dr, res: cres}, v, nil
-		})
-	if err != nil {
-		return err
-	}
-
-	for _, o := range res.Outcomes {
-		if !o.Ran {
-			continue
-		}
-		dr := o.Value.dr
-		if o.Verdict == portfolio.Canceled {
-			// The member was aborted mid-solve by a sibling's result; its
-			// context expiry is not a compile timeout.
-			dr.Canceled = true
-			dr.TimedOut = false
-		}
-		rep.Depths = append(rep.Depths, dr)
-		if res.Winner == nil || o.Member.Index != res.Winner.Member.Index {
-			rep.WastedConflicts += dr.SynthConflicts + dr.VerifyConflicts
-		}
-	}
-	obs.MetricsFrom(pctx).Counter("portfolio.wasted_conflicts").Add(rep.WastedConflicts)
-
-	switch {
-	case res.Winner != nil:
-		win := res.Winner.Value
-		rep.Feasible = true
-		rep.Artifact = win.res.TargetConfig
-		rep.Config = win.res.Config
-		if win.res.Config != nil {
-			rep.Usage = win.res.Config.Usage()
-		}
-		rep.Winner = res.Winner.Member.Label
-		// Record the race outcome in the registry by allocation mode, so
-		// a daemon's /metrics shows which member family wins over time —
-		// until now winner attribution lived only on individual reports.
-		mode := "canon"
-		if res.Winner.Member.IndicatorAlloc {
-			mode = "ind"
-		}
-		obs.MetricsFrom(pctx).Counter("portfolio.winner." + mode).Add(1)
-	case res.TimedOut:
-		rep.TimedOut = true
-	}
-	return nil
+	return []obs.Attr{obs.String("winner", rep.Winner),
+		obs.Int64("wasted_conflicts", rep.WastedConflicts),
+		obs.Float("wasted_ms", float64(wasted.Microseconds())/1000)}
 }
 
 // crossCheck differentially tests the synthesized configuration against the

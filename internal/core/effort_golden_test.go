@@ -161,8 +161,8 @@ func checkEffort(t *testing.T, c effortCase, want map[string][]string) {
 // TestSearchEffortGolden compiles every effort case concurrently and
 // compares each with the golden file. Every golden key must belong to a
 // case, slow ones included, so a row no case compiles (a renamed program,
-// a mistyped key) fails rather than passing unread. It also races the
-// sampling portfolio, whose conflicts depend on the race and are not
+// a mistyped key) fails rather than passing unread. It also compiles
+// sampling with seed hedging, whose effort depends on timing and is not
 // pinned, and checks it finds the golden's minimum stage count.
 func TestSearchEffortGolden(t *testing.T) {
 	want := readEffortGolden(t)
@@ -181,21 +181,21 @@ func TestSearchEffortGolden(t *testing.T) {
 			checkEffort(t, c, want)
 		})
 	}
-	t.Run("sampling/portfolio", func(t *testing.T) {
+	t.Run("sampling/hedged", func(t *testing.T) {
 		t.Parallel()
 		b, err := programs.ByName("sampling")
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts := benchOptions(b)
-		opts.Parallelism, opts.SeedFanout = 4, 2
+		opts.SeedFanout = 2
 		rep, err := Compile(context.Background(), b.Parse(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		last := strings.Fields(want[b.Name][len(want[b.Name])-1])
 		if !rep.Feasible || fmt.Sprint(rep.Usage.Stages) != last[1] {
-			t.Errorf("portfolio: feasible=%v at %d stages, want feasible at the golden's %s",
+			t.Errorf("hedged: feasible=%v at %d stages, want feasible at the golden's %s",
 				rep.Feasible, rep.Usage.Stages, last[1])
 		}
 	})

@@ -110,7 +110,7 @@ func maybeExplain(ctx context.Context, prog *ast.Program, opts Options, rep *Rep
 	// encoding could surface circuit.GroupSymmetry in UNSAT cores and
 	// shift the blamed dimension. Forensics verdicts (and the -explain
 	// output) are therefore identical with symmetry breaking on or off.
-	be, err := backendFor(opts, opts.IndicatorAlloc, false)
+	be, err := backendFor(opts, false)
 	if err != nil {
 		return
 	}

@@ -37,22 +37,21 @@ func compileProfiled(t *testing.T, opts Options) (*Report, obs.CompileProfile) {
 
 // The profile's solver-effort counters must agree with the report's own
 // bookkeeping in both execution modes — they are rolled up from the span
-// tree by an independent path, so agreement pins the attribution. In
-// portfolio mode both sides count every raced member's work.
+// tree by an independent path, so agreement pins the attribution. With
+// seed hedging both sides count every slot's work.
 func TestProfileRollupMatchesReportEffort(t *testing.T) {
 	b, _ := programs.ByName("sampling")
 	seq := benchOptions(b)
 
-	par := benchOptions(b)
-	par.Parallelism = 4
-	par.SeedFanout = 2
+	hedged := benchOptions(b)
+	hedged.SeedFanout = 2
 
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"sequential", seq},
-		{"portfolio", par},
+		{"hedged", hedged},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, p := compileProfiled(t, tc.opts)
@@ -82,15 +81,15 @@ func TestProfileRollupMatchesReportEffort(t *testing.T) {
 				t.Errorf("phase split exceeds total solve time: synth=%v verify=%v total=%v",
 					p.SolveSynthMS, p.SolveVerifyMS, p.SolveMS)
 			}
-			if tc.name == "portfolio" {
-				if p.PortfolioMembers == 0 || p.Winner == "" {
-					t.Errorf("portfolio compile missing race fields: %+v", p)
+			if tc.name == "hedged" {
+				if p.Winner == "" || p.Winner != rep.Winner {
+					t.Errorf("winner: profile %q, report %q", p.Winner, rep.Winner)
 				}
 				if p.WastedConflicts != rep.WastedConflicts {
 					t.Errorf("wasted conflicts: profile %d, report %d", p.WastedConflicts, rep.WastedConflicts)
 				}
-			} else if p.PortfolioMembers != 0 || p.Winner != "" {
-				t.Errorf("sequential compile reports portfolio fields: %+v", p)
+			} else if p.Winner != "" {
+				t.Errorf("sequential compile reports a hedge winner: %+v", p)
 			} else {
 				checkOtherParts(t, p)
 			}

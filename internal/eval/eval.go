@@ -46,12 +46,10 @@ type Options struct {
 	// Parallel is the number of concurrent compilations. 0 means
 	// GOMAXPROCS.
 	Parallel int
-	// IntraParallelism, when above 1, runs each compilation as a racing
-	// portfolio of that many workers (core.Options.Parallelism). Combine
-	// with Parallel thoughtfully: total concurrency is the product.
-	IntraParallelism int
-	// SeedFanout is how many diversified CEGIS seeds race per stage depth
-	// when IntraParallelism enables portfolio search.
+	// SeedFanout hedges each compilation's depths across this many CEGIS
+	// seeds (core.Options.SeedFanout). Combine with Parallel
+	// thoughtfully: a heavy-tailed compile runs up to SeedFanout attempts
+	// at once.
 	SeedFanout int
 	// Programs restricts the corpus (empty = all 8).
 	Programs []string
@@ -268,7 +266,6 @@ func compileBoth(ctx context.Context, b programs.Benchmark, m mutate.Mutant, idx
 		StatelessALU: alu.Stateless{ConstBits: b.ConstBits},
 		StatefulALU:  alu.Stateful{Kind: b.StatefulALU, ConstBits: b.ConstBits},
 		Seed:         opts.Seed + int64(idx),
-		Parallelism:  opts.IntraParallelism,
 		SeedFanout:   opts.SeedFanout,
 		Cache:        opts.Cache,
 		Explain:      opts.Explain,

@@ -14,7 +14,7 @@ const ProfileVersion = 1
 // CompileProfile is one compilation's effort, rolled up from its span
 // tree into a single flat, versioned record: where the wall-clock went
 // (phase attribution), how hard the solver worked (conflicts, decisions,
-// propagations), and how much of the work a portfolio race threw away.
+// propagations), and how much of the work seed hedging threw away.
 // It is the stable unit the performance history (internal/perfhist)
 // stores and cmd/chipreport trends — in-flight telemetry (spans, SSE,
 // Prometheus) answers "what is it doing now", the profile answers "what
@@ -24,15 +24,15 @@ const ProfileVersion = 1
 //
 //   - TotalMS is the compile span's wall-clock duration.
 //   - SynthMS/VerifyMS/SolveMS sum over every CEGIS phase span, including
-//     concurrently racing portfolio members, so in portfolio mode their
-//     sum can exceed TotalMS — they are CPU-effort-like, not wall-like.
+//     concurrently running hedge slots, so in a hedged compile their sum
+//     can exceed TotalMS — they are CPU-effort-like, not wall-like.
 //   - EncodeMS is the phase time spent outside SAT solving (circuit
 //     construction, Tseitin CNF, test instantiation): SynthMS+VerifyMS
 //     minus their sat.solve children.
 //   - OtherMS is compile wall-clock not inside any phase or cache lookup
 //     (parsing adjacency, canonicalization, config extraction,
-//     cross-checking, scheduler idle); clamped at zero in portfolio mode
-//     where the phase sums overlap in time.
+//     cross-checking); clamped at zero in a hedged compile, where the
+//     phase sums overlap in time.
 //   - SketchMS, ExtractMS and CrossCheckMS are parts of OtherMS, summed
 //     over the "cegis.sketch" (sketch build and domain constraints),
 //     "cegis.extract" (model extraction) and "core.crosscheck" spans. On
@@ -70,12 +70,12 @@ type CompileProfile struct {
 	Restarts     int64 `json:"restarts"`
 	PeakCNFVars  int   `json:"peak_cnf_vars"`
 
-	// Portfolio racing (zero-valued on the sequential path).
-	PortfolioMembers int     `json:"portfolio_members,omitempty"`
-	PrunedDepths     int     `json:"pruned_depths,omitempty"`
-	Winner           string  `json:"winner,omitempty"`
-	WastedConflicts  int64   `json:"wasted_conflicts,omitempty"`
-	WastedMS         float64 `json:"wasted_ms,omitempty"`
+	// Seed hedging, from the compile span's attributes (zero-valued
+	// without hedging): the winning slot's label, and the conflicts and
+	// wall-clock its canceled siblings spent.
+	Winner          string  `json:"winner,omitempty"`
+	WastedConflicts int64   `json:"wasted_conflicts,omitempty"`
+	WastedMS        float64 `json:"wasted_ms,omitempty"`
 }
 
 // Samples flattens the profile into named numeric observations for the
@@ -144,6 +144,11 @@ func attrI64(m map[string]any, key string) int64 {
 		return int64(v)
 	}
 	return 0
+}
+
+func attrF64(m map[string]any, key string) float64 {
+	f, _ := m[key].(float64)
+	return f
 }
 
 func attrBool(m map[string]any, key string) bool {
@@ -224,24 +229,17 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 
 	root := nodes[compileID]
 	p := CompileProfile{
-		Version:  ProfileVersion,
-		Program:  attrStr(root.attrs, "program"),
-		Feasible: attrBool(root.attrs, "feasible"),
-		TimedOut: attrBool(root.attrs, "timedout"),
-		Cached:   attrBool(root.attrs, "cached"),
-		TotalMS:  durMS(root.dur()),
+		Version:         ProfileVersion,
+		Program:         attrStr(root.attrs, "program"),
+		Feasible:        attrBool(root.attrs, "feasible"),
+		TimedOut:        attrBool(root.attrs, "timedout"),
+		Cached:          attrBool(root.attrs, "cached"),
+		TotalMS:         durMS(root.dur()),
+		Winner:          attrStr(root.attrs, "winner"),
+		WastedConflicts: attrI64(root.attrs, "wasted_conflicts"),
+		WastedMS:        attrF64(root.attrs, "wasted_ms"),
 	}
 
-	winner := ""
-	for id, n := range nodes {
-		if n.endNS < 0 || !inCompile(id) {
-			continue
-		}
-		if n.name == "portfolio" {
-			winner = attrStr(n.attrs, "winner")
-			p.WastedConflicts = attrI64(n.attrs, "wasted_conflicts")
-		}
-	}
 	for id, n := range nodes {
 		if n.endNS < 0 || !inCompile(id) {
 			continue
@@ -255,12 +253,6 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 			p.Iters++
 		case "attempt":
 			p.Attempts++
-			if member := attrStr(n.attrs, "member"); member != "" {
-				p.PortfolioMembers++
-				if winner != "" && member != winner {
-					p.WastedMS += durMS(n.dur())
-				}
-			}
 		case "sat.solve":
 			p.Solves++
 			ms := durMS(n.dur())
@@ -288,8 +280,6 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 			p.CrossCheckMS += durMS(n.dur())
 		}
 	}
-	p.Winner = winner
-	p.PrunedDepths = int(attrI64(root.attrs, "pruned"))
 
 	if enc := p.SynthMS + p.VerifyMS - p.SolveMS; enc > 0 {
 		p.EncodeMS = enc

@@ -9,7 +9,7 @@ import (
 // syntheticCompile builds a record stream for a two-iteration sequential
 // compile with known durations (milliseconds in the comments):
 //
-//	compile                [0, 100]  feasible, pruned=1
+//	compile                [0, 100]  feasible
 //	  solcache.lookup      [0, 2]    miss
 //	  attempt              [2, 90]
 //	    cegis.iter         [2, 50]
@@ -50,7 +50,7 @@ func syntheticCompile() []Record {
 		end(10, 70, nil),
 		end(9, 90, nil),
 		end(3, 90, map[string]any{"outcome": "feasible"}),
-		end(1, 100, map[string]any{"feasible": true, "pruned": int64(1)}),
+		end(1, 100, map[string]any{"feasible": true}),
 	}
 }
 
@@ -96,11 +96,8 @@ func TestRollupCompileSynthetic(t *testing.T) {
 	if p.PeakCNFVars != 900 {
 		t.Errorf("PeakCNFVars = %d, want 900", p.PeakCNFVars)
 	}
-	if p.PrunedDepths != 1 {
-		t.Errorf("PrunedDepths = %d, want 1", p.PrunedDepths)
-	}
-	if p.PortfolioMembers != 0 || p.Winner != "" || p.WastedMS != 0 {
-		t.Errorf("sequential compile reports portfolio fields: %+v", p)
+	if p.Winner != "" || p.WastedConflicts != 0 || p.WastedMS != 0 {
+		t.Errorf("sequential compile reports hedge fields: %+v", p)
 	}
 }
 
@@ -132,33 +129,30 @@ func TestRollupCompileJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRollupCompilePortfolio(t *testing.T) {
+// A hedged compile's winner and waste come from the compile span's
+// attributes, whichever attempts ran under it.
+func TestRollupCompileHedged(t *testing.T) {
 	ms := func(v int64) int64 { return v * 1e6 }
 	recs := []Record{
 		{Type: RecordStart, ID: 1, Name: "compile", TimeNS: 0},
-		{Type: RecordStart, ID: 2, Parent: 1, Name: "portfolio", TimeNS: 0},
-		{Type: RecordStart, ID: 3, Parent: 2, Name: "attempt", TimeNS: 0,
-			Attrs: map[string]any{"member": "d2s1"}},
+		{Type: RecordStart, ID: 2, Parent: 1, Name: "attempt", TimeNS: 0,
+			Attrs: map[string]any{"member": "d2.s0"}},
+		{Type: RecordStart, ID: 3, Parent: 1, Name: "attempt", TimeNS: ms(5),
+			Attrs: map[string]any{"member": "d2.s1"}},
 		{Type: RecordEnd, ID: 3, TimeNS: ms(40)},
-		{Type: RecordStart, ID: 4, Parent: 2, Name: "attempt", TimeNS: 0,
-			Attrs: map[string]any{"member": "d3s1"}},
-		{Type: RecordEnd, ID: 4, TimeNS: ms(25)},
-		{Type: RecordEnd, ID: 2, TimeNS: ms(45),
-			Attrs: map[string]any{"winner": "d2s1", "wasted_conflicts": int64(7)}},
-		{Type: RecordEnd, ID: 1, TimeNS: ms(50)},
+		{Type: RecordEnd, ID: 2, TimeNS: ms(41)},
+		{Type: RecordEnd, ID: 1, TimeNS: ms(50),
+			Attrs: map[string]any{"winner": "d2.s1", "wasted_conflicts": int64(7), "wasted_ms": 41.0}},
 	}
 	p, err := RollupCompile(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PortfolioMembers != 2 || p.Attempts != 2 {
-		t.Errorf("members=%d attempts=%d, want 2/2", p.PortfolioMembers, p.Attempts)
+	if p.Attempts != 2 {
+		t.Errorf("attempts=%d, want 2", p.Attempts)
 	}
-	if p.Winner != "d2s1" || p.WastedConflicts != 7 {
-		t.Errorf("winner=%q wasted=%d, want d2s1/7", p.Winner, p.WastedConflicts)
-	}
-	if !near(p.WastedMS, 25) { // the losing d3s1 attempt's duration
-		t.Errorf("WastedMS = %v, want 25", p.WastedMS)
+	if p.Winner != "d2.s1" || p.WastedConflicts != 7 || !near(p.WastedMS, 41) {
+		t.Errorf("winner=%q wasted=%d/%vms, want d2.s1/7/41ms", p.Winner, p.WastedConflicts, p.WastedMS)
 	}
 }
 

@@ -137,7 +137,7 @@ func NewHoles[V any](g GridSpec, indicatorAlloc bool, numFields int, mk func(nam
 				sf[d.Name] = mk(fmt.Sprintf("stateful_%d_%d_%s", i, j, d.Name), d.Bits, d.Data)
 			}
 			for k := 0; k < g.StatefulALU.NumPacketOperands(); k++ {
-				sf[fmt.Sprintf("imux%d", k)] = mk(fmt.Sprintf("stateful_%d_%d_imux%d", i, j, k), imb, false)
+				sf[imuxNames[k]] = mk(fmt.Sprintf("stateful_%d_%d_imux%d", i, j, k), imb, false)
 			}
 			sfRow[j] = sf
 
@@ -266,7 +266,7 @@ func Datapath[V any](a arith.Arith[V], g GridSpec, h *Holes[V], fields, states [
 			active := a.Eq(h.SaluActive[i][j], one)
 			pktOps := make([]V, g.StatefulALU.NumPacketOperands())
 			for k := range pktOps {
-				pktOps[k] = arith.Select(a, holes[fmt.Sprintf("imux%d", k)], inputs...)
+				pktOps[k] = arith.Select(a, holes[imuxNames[k]], inputs...)
 			}
 			stIn := make([]V, ns)
 			for k := 0; k < ns; k++ {

@@ -107,7 +107,7 @@ var ErrStopped = errors.New("sat: solve stopped by caller")
 
 // stopCheckInterval is how many conflicts run between stop-hook polls — a
 // much finer grain than the budgeted-chunk fallback, so a cancelled
-// portfolio member abandons its solve almost immediately.
+// hedge slot abandons its solve almost immediately.
 const stopCheckInterval = 256
 
 // clauseRef indexes the solver's clause headers. The special value
@@ -343,7 +343,7 @@ func (s *Solver) SetProgress(every int64, fn func(Stats)) {
 // SetStop installs a cancellation hook polled every stopCheckInterval
 // conflicts during search. When fn returns true the in-flight
 // SolveWithBudget call returns (Unknown, ErrStopped) without finishing the
-// query, so losing portfolio members abort mid-solve instead of waiting
+// query, so losing hedge slots abort mid-solve instead of waiting
 // for the next budget-chunk boundary. A nil fn removes the hook. The hook
 // must be cheap and race-free: it runs on the solving goroutine.
 func (s *Solver) SetStop(fn func() bool) {

@@ -11,13 +11,13 @@ import (
 
 // JobEvent is one frame of a job's live event stream (GET
 // /jobs/{id}/events, Server-Sent Events). Span and note events mirror
-// the job's tracer records: phase transitions (compile/attempt/portfolio
-// spans), CEGIS iterations (cegis.iter span ends carry outcome and
-// iteration attrs), and sat.progress notes from inside long solves
-// (Span is the note's own id; its parent is the sat.solve span, which
-// the event does not carry). The terminal "done" event carries
-// the job's final status (which reports cache hit/miss and the portfolio
-// winner) and closes the stream.
+// the job's tracer records: phase transitions (compile/attempt spans),
+// CEGIS iterations (cegis.iter span ends carry outcome and iteration
+// attrs), and sat.progress notes from inside long solves (Span is the
+// note's own id; its parent is the sat.solve span, which the event does
+// not carry). The terminal "done" event carries the job's final status
+// (which reports cache hit/miss and the hedge winner) and closes the
+// stream.
 type JobEvent struct {
 	JobID string `json:"job_id"`
 	// Seq numbers events per job; a gap after Dropped>0 shows where a

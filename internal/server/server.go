@@ -81,10 +81,11 @@ type Config struct {
 	// evicted so a long-running daemon's job table stays bounded. 0 means
 	// 1024.
 	MaxFinishedJobs int
-	// JobParallelism caps the intra-job portfolio parallelism a request
-	// may ask for (CompileRequest.Parallel). 0 or 1 means jobs always run
-	// the classic sequential search. See Validate for the oversubscription
-	// guard against Workers * JobParallelism.
+	// JobParallelism caps the seed fanout a request may ask for
+	// (CompileRequest.SeedFanout): how many hedge slots one job may run at
+	// once. 0 or 1 means jobs always run the plain sequential search. See
+	// Validate for the oversubscription guard against Workers *
+	// JobParallelism.
 	JobParallelism int
 	// Cache, when non-nil, memoizes results across jobs.
 	Cache *solcache.Cache
@@ -154,10 +155,10 @@ func (c *Config) logger() *slog.Logger {
 }
 
 // Validate rejects configurations whose worst case oversubscribes the
-// machine: Workers jobs each racing JobParallelism portfolio members is
-// fine up to 2x GOMAXPROCS (portfolio members are often blocked on
-// staggers or cancel early), but beyond that the compile workers thrash
-// each other's SAT solvers and every job slows down.
+// machine: Workers jobs each running JobParallelism hedge slots is fine
+// up to 2x GOMAXPROCS (hedge slots wait out their stagger and are
+// canceled by the first verdict), but beyond that the compile workers
+// thrash each other's SAT solvers and every job slows down.
 func (c *Config) Validate() error {
 	cores := runtime.GOMAXPROCS(0)
 	if load := c.workers() * c.jobParallelism(); load > 2*cores {
@@ -189,12 +190,10 @@ type CompileRequest struct {
 	VerifyWidth int `json:"verify_width,omitempty"`
 	// Seed drives CEGIS's random test inputs.
 	Seed int64 `json:"seed,omitempty"`
-	// Parallel asks for portfolio search with this many concurrent
-	// attempts inside the job. The server clamps it to its per-job budget
-	// (Config.JobParallelism); 0 or 1 runs the classic sequential search.
-	Parallel int `json:"parallel,omitempty"`
-	// SeedFanout is how many diversified CEGIS seeds race per stage depth
-	// in portfolio mode (clamped to [1, 8]; ignored unless Parallel > 1).
+	// SeedFanout asks for seed hedging with this many seed slots per
+	// depth (core.Options.SeedFanout). The server clamps it to its per-job
+	// budget (Config.JobParallelism); 0 or 1 runs the plain sequential
+	// search.
 	SeedFanout int `json:"seed_fanout,omitempty"`
 	// Explain runs the infeasibility-forensics pass when the job's fresh
 	// search concludes infeasible: the result then carries a structured
@@ -225,9 +224,9 @@ type CompileResult struct {
 	TotalALUs       int `json:"total_alus,omitempty"`
 	// Config is the synthesized hardware configuration when feasible.
 	Config json.RawMessage `json:"config,omitempty"`
-	// Winner names the portfolio member that produced the solution
-	// (e.g. "d2.s0.canon") and WastedConflicts totals the losing
-	// members' solver work; both are zero-valued for sequential jobs.
+	// Winner names the hedge slot that produced the solution (e.g.
+	// "d2.s1") and WastedConflicts totals its canceled siblings' solver
+	// work; both are zero-valued for jobs without hedging.
 	Winner          string `json:"winner,omitempty"`
 	WastedConflicts int64  `json:"wasted_conflicts,omitempty"`
 	// Explanation is the infeasibility-forensics report, present when the
@@ -746,7 +745,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter("server.jobs.accepted").Add(1)
 	s.metrics.Gauge("server.queue.depth").Set(int64(len(s.queue)))
 	s.logger.Info("job accepted", "job_id", j.id, "program", j.prog.Name,
-		"fingerprint", shortFP(j.fp), "parallel", j.opts.Parallelism)
+		"fingerprint", shortFP(j.fp), "seed_fanout", j.opts.SeedFanout)
 
 	if req.Wait {
 		select {
@@ -790,17 +789,10 @@ func (s *Server) newJob(req CompileRequest) (*job, error) {
 	if width <= 0 {
 		width = 2
 	}
-	// Clamp the requested portfolio parallelism to the server's per-job
-	// budget rather than rejecting: callers tuned for a bigger machine
-	// still compile, just with less intra-job racing.
-	parallel := req.Parallel
-	if cap := s.cfg.jobParallelism(); parallel > cap {
-		parallel = cap
-	}
-	fanout := req.SeedFanout
-	if fanout > 8 {
-		fanout = 8
-	}
+	// Clamp the requested seed fanout to the server's per-job budget
+	// rather than rejecting: callers tuned for a bigger machine still
+	// compile, just with fewer hedge slots.
+	fanout := min(req.SeedFanout, s.cfg.jobParallelism())
 	j := &job{
 		req:  req,
 		prog: prog,
@@ -815,7 +807,6 @@ func (s *Server) newJob(req CompileRequest) (*job, error) {
 			Seed:          req.Seed,
 			Explain:       req.Explain,
 			SymmetryBreak: req.SymmetryBreak,
-			Parallelism:   parallel,
 			SeedFanout:    fanout,
 			Cache:         s.cfg.Cache,
 			History:       s.cfg.History,

@@ -676,35 +676,29 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJobParallelismClamp: the server caps a request's portfolio
-// parallelism at Config.JobParallelism and passes the seed fanout through
-// (itself clamped to a sane bound).
+// TestJobParallelismClamp: the server caps a request's seed fanout at
+// Config.JobParallelism, so Validate's workers x job-parallelism guard
+// bounds the attempts a daemon runs at once.
 func TestJobParallelismClamp(t *testing.T) {
 	cases := []struct {
-		name         string
-		cfgCap       int
-		reqParallel  int
-		reqFanout    int
-		wantParallel int
-		wantFanout   int
+		name       string
+		cfgCap     int
+		reqFanout  int
+		wantFanout int
 	}{
-		{"default cap is sequential", 0, 8, 2, 1, 2},
-		{"within cap", 4, 3, 2, 3, 2},
-		{"above cap clamped", 2, 16, 2, 2, 2},
-		{"sequential request unchanged", 4, 0, 0, 0, 0},
-		{"fanout clamped", 4, 4, 99, 4, 8},
+		{"default cap is sequential", 0, 2, 1},
+		{"within cap", 4, 2, 2},
+		{"above cap clamped", 2, 16, 2},
+		{"sequential request unchanged", 4, 0, 0},
+		{"fanout clamped", 4, 99, 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Config{Workers: 1, JobParallelism: c.cfgCap})
 			defer s.Shutdown(context.Background())
-			j, err := s.newJob(CompileRequest{Name: "x", Source: samplingSrc,
-				Parallel: c.reqParallel, SeedFanout: c.reqFanout})
+			j, err := s.newJob(CompileRequest{Name: "x", Source: samplingSrc, SeedFanout: c.reqFanout})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if j.opts.Parallelism != c.wantParallel {
-				t.Errorf("Parallelism = %d, want %d", j.opts.Parallelism, c.wantParallel)
 			}
 			if j.opts.SeedFanout != c.wantFanout {
 				t.Errorf("SeedFanout = %d, want %d", j.opts.SeedFanout, c.wantFanout)
@@ -731,17 +725,16 @@ func TestConfigValidateOversubscription(t *testing.T) {
 	}
 }
 
-// TestPortfolioJobReportsWinner: a portfolio job's result carries the
-// winning member's attribution so clients can see which depth/seed/alloc
-// produced the solution.
-func TestPortfolioJobReportsWinner(t *testing.T) {
+// TestHedgedJobReportsWinner: a hedged job's result carries the winning
+// slot's label so clients can see which depth and seed produced the
+// solution.
+func TestHedgedJobReportsWinner(t *testing.T) {
 	s := New(Config{Workers: 1, JobParallelism: 2, JobTimeout: 2 * time.Minute})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	req := compileReq(true)
-	req.Parallel = 2
 	req.SeedFanout = 2
 	resp, st := postCompile(t, ts, req)
 	if resp.StatusCode != http.StatusOK {
@@ -751,7 +744,7 @@ func TestPortfolioJobReportsWinner(t *testing.T) {
 		t.Fatalf("job state %q result=%+v", st.State, st.Result)
 	}
 	if st.Result.Winner == "" {
-		t.Fatalf("portfolio job result has no winner attribution: %+v", st.Result)
+		t.Fatalf("hedged job result has no winner attribution: %+v", st.Result)
 	}
 }
 

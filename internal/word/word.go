@@ -53,14 +53,13 @@ func (w Width) FromInt(v int64) uint64 {
 	return uint64(v) & w.Mask()
 }
 
-// ToInt sign-extends a w-bit word to a Go int64.
+// ToInt sign-extends a w-bit word to a Go int64: the shift pair moves
+// bit w-1 into the sign position and arithmetic-shifts it back, so bits
+// above w are ignored. Branch-free, it keeps the signed comparisons below
+// inlinable.
 func (w Width) ToInt(v uint64) int64 {
-	v &= w.Mask()
-	sign := uint64(1) << uint(w-1)
-	if v&sign != 0 {
-		return int64(v | ^w.Mask())
-	}
-	return int64(v)
+	s := 64 - uint(w)
+	return int64(v<<s) >> s
 }
 
 // SignBit reports whether the w-bit word v is negative.

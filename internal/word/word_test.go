@@ -1,6 +1,7 @@
 package word
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -127,6 +128,36 @@ func TestRingHomomorphism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// branchyToInt is the mask-and-branch sign extension ToInt's shift pair
+// replaced, kept as its reference.
+func branchyToInt(w Width, v uint64) int64 {
+	v &= w.Mask()
+	sign := uint64(1) << uint(w-1)
+	if v&sign != 0 {
+		return int64(v | ^w.Mask())
+	}
+	return int64(v)
+}
+
+// ToInt agrees with the branchy sign extension at every width 1..64, on
+// the edge values of each width and on random words, bits above the
+// width included.
+func TestToIntMatchesBranchy(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for w := Width(1); w <= 64; w++ {
+		m := w.Mask()
+		vals := []uint64{0, 1, m, m >> 1, (m >> 1) + 1, m - 1, ^uint64(0), ^m, m + 1, 1 << 63}
+		for i := 0; i < 256; i++ {
+			vals = append(vals, rng.Uint64())
+		}
+		for _, v := range vals {
+			if got, want := w.ToInt(v), branchyToInt(w, v); got != want {
+				t.Fatalf("width %d: ToInt(%#x) = %d, want %d", w, v, got, want)
+			}
+		}
 	}
 }
 

@@ -233,9 +233,11 @@ func TestCLIPisasimWorkload(t *testing.T) {
 	}
 }
 
-// TestCLIPisasimEngines runs the same config through every -engine mode:
-// lockstep cross-check against the spec, pure compiled single-flow, and
-// sharded compiled workload replay, all of which must report throughput.
+// TestCLIPisasimEngines runs the same config through each of pisasim's
+// uses of the line-rate engine: packet by packet with the spec oracle
+// riding along, single-flow and multi-flow, and as a batch replay, whose
+// checksum must not depend on the shard count. Every run reports
+// throughput.
 func TestCLIPisasimEngines(t *testing.T) {
 	chip := buildTool(t, "chipmunk")
 	sim := buildTool(t, "pisasim")
@@ -246,43 +248,36 @@ func TestCLIPisasimEngines(t *testing.T) {
 	cfgPath := filepath.Join(t.TempDir(), "cfg.json")
 	os.WriteFile(cfgPath, cfgJSON, 0o644)
 
-	// Lockstep interp-vs-compiled with the spec oracle riding along.
-	out, err := exec.Command(sim,
-		"-config", cfgPath, "-program", samplingPath(t),
-		"-engine", "both", "-packets", "2000",
-	).CombinedOutput()
-	if err != nil {
-		t.Fatalf("pisasim -engine both failed: %v\n%s", err, out)
-	}
-	for _, want := range []string{"0 divergences", "throughput:", "engine=both"} {
-		if !strings.Contains(string(out), want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
+	for _, args := range [][]string{
+		{"-packets", "2000"},
+		{"-flows", "8", "-packets", "5000"},
+	} {
+		out, err := exec.Command(sim, append([]string{"-config", cfgPath, "-program", samplingPath(t)}, args...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("pisasim -program %v failed: %v\n%s", args, err, out)
+		}
+		for _, want := range []string{"0 divergences", "throughput:"} {
+			if !strings.Contains(string(out), want) {
+				t.Fatalf("pisasim -program %v output missing %q:\n%s", args, want, out)
+			}
 		}
 	}
 
-	// Pure compiled single flow.
-	out, err = exec.Command(sim,
-		"-config", cfgPath, "-engine", "compiled", "-packets", "2000",
-	).CombinedOutput()
-	if err != nil {
-		t.Fatalf("pisasim -engine compiled failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "engine=compiled") {
-		t.Fatalf("output missing compiled throughput line:\n%s", out)
-	}
-
-	// Sharded compiled replay: checksum must match the single-shard run.
+	// Sharded replay: checksum must match the single-shard run.
 	single, err := exec.Command(sim,
-		"-config", cfgPath, "-engine", "compiled", "-flows", "8", "-packets", "5000",
+		"-config", cfgPath, "-flows", "8", "-packets", "5000",
 	).CombinedOutput()
 	if err != nil {
-		t.Fatalf("pisasim compiled replay failed: %v\n%s", err, single)
+		t.Fatalf("pisasim replay failed: %v\n%s", err, single)
 	}
 	sharded, err := exec.Command(sim,
-		"-config", cfgPath, "-engine", "compiled", "-flows", "8", "-packets", "5000", "-shards", "4",
+		"-config", cfgPath, "-flows", "8", "-packets", "5000", "-shards", "4",
 	).CombinedOutput()
 	if err != nil {
 		t.Fatalf("pisasim sharded replay failed: %v\n%s", err, sharded)
+	}
+	if !strings.Contains(string(sharded), "throughput:") {
+		t.Fatalf("output missing replay throughput line:\n%s", sharded)
 	}
 	pick := func(out []byte) string {
 		for _, line := range strings.Split(string(out), "\n") {

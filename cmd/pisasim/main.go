@@ -4,19 +4,24 @@
 //
 // Usage:
 //
-//	pisasim -config cfg.json [-engine interp|compiled|both] [-packets N]
-//	        [-program prog.domino] [-flows N] [-shards N] [-trace]
+//	pisasim -config cfg.json [-packets N] [-program prog.domino]
+//	        [-flows N] [-shards N] [-trace]
 //
-// The configuration comes from `chipmunk -json`. Packets are generated
-// with uniformly random field values (deterministic under -seed), or as a
-// bursty multi-flow workload with -flows. Two execution engines are
-// available: the interpreted datapath (allocation-free Config.ExecInto)
-// and the compiled line-rate engine (internal/linerate); -engine both
-// runs them in lockstep and aborts with a minimized reproducer packet on
-// the first divergence. Every run ends with a throughput summary. With
-// -program, every packet's pipeline output is additionally compared
-// against the reference interpreter and any divergence aborts with a
-// non-zero exit.
+// The configuration comes from `chipmunk -json`. pisasim compiles it to
+// the line-rate engine (internal/linerate: one straight-line register
+// program, zero allocation per packet) and runs every packet through
+// that. Packets are generated with uniformly random field values
+// (deterministic under -seed), or as a bursty multi-flow workload with
+// -flows. A -flows run without -program or -trace is a batch replay,
+// sharded across -shards workers by flow; the others run packet by
+// packet. Every run ends with a throughput summary. With -program, every
+// packet's pipeline output and state are additionally compared against
+// the reference interpreter, and any divergence exits 4.
+//
+// The engine's agreement with package pisa's grid simulator, the
+// reference every compiled form is checked against, is tested by the
+// linerate tests, the FuzzCompiledExec target and the chipfuzz campaign,
+// not here.
 package main
 
 import (
@@ -45,15 +50,14 @@ func main() {
 
 // sim bundles everything one simulation run needs.
 type sim struct {
-	cfg     *pisa.Config
-	engine  string
-	shards  int
-	trace   bool
-	scratch *pisa.ExecScratch // interp side
-	eng     *linerate.Engine  // compiled side, nil for -engine interp
-	buf     *linerate.Buf
-	ref     *interp.Interp // spec oracle, nil without -program
-	prog    *ast.Program
+	cfg   *pisa.Config
+	eng   *linerate.Engine
+	buf   *linerate.Buf
+	trace bool
+	ref   *interp.Interp // spec oracle, nil without -program
+	prog  *ast.Program
+	// divergences counts the outputs that differed from the spec.
+	divergences int
 }
 
 func run() error {
@@ -65,17 +69,11 @@ func run() error {
 		traceOut = flag.Bool("trace", false, "print every packet's output")
 		flows    = flag.Int("flows", 0, "simulate a multi-flow workload with per-flow state (0 = single flow, uniform random fields)")
 		zipf     = flag.Float64("zipf", 1.0, "flow-popularity skew for -flows")
-		engine   = flag.String("engine", "interp", "execution engine: interp, compiled, or both (lockstep cross-check)")
-		shards   = flag.Int("shards", 1, "parallel replay workers for -engine compiled with -flows (flows are partitioned across workers)")
+		shards   = flag.Int("shards", 1, "parallel replay workers for -flows without -program or -trace (flows are partitioned across workers)")
 	)
 	flag.Parse()
 	if *cfgPath == "" {
 		return fmt.Errorf("-config is required")
-	}
-	switch *engine {
-	case "interp", "compiled", "both":
-	default:
-		return fmt.Errorf("-engine must be interp, compiled, or both (got %q)", *engine)
 	}
 	data, err := os.ReadFile(*cfgPath)
 	if err != nil {
@@ -85,18 +83,11 @@ func run() error {
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return fmt.Errorf("parsing %s: %w", *cfgPath, err)
 	}
-	if err := cfg.Validate(); err != nil {
+	eng, err := linerate.Compile(&cfg)
+	if err != nil {
 		return err
 	}
-
-	s := &sim{cfg: &cfg, engine: *engine, shards: *shards, trace: *traceOut, scratch: cfg.NewScratch()}
-	if *engine != "interp" {
-		s.eng, err = linerate.Compile(&cfg)
-		if err != nil {
-			return err
-		}
-		s.buf = s.eng.NewBuf()
-	}
+	s := &sim{cfg: &cfg, eng: eng, buf: eng.NewBuf(), trace: *traceOut}
 	if *progPath != "" {
 		src, err := os.ReadFile(*progPath)
 		if err != nil {
@@ -113,15 +104,9 @@ func run() error {
 	}
 
 	if *flows > 0 {
-		return s.runWorkload(*flows, *zipf, *packets, *seed)
+		return s.runWorkload(*flows, *zipf, *packets, *seed, *shards)
 	}
 	return s.runSingleFlow(*packets, *seed)
-}
-
-// throughput prints the uniform summary line every run ends with.
-func throughput(packets int, elapsed time.Duration, engine string) {
-	pps := float64(packets) / elapsed.Seconds()
-	fmt.Printf("throughput: %d packets in %s (%.4g pps, engine=%s)\n", packets, elapsed, pps, engine)
 }
 
 // runSingleFlow drives uniformly random packets through one flow's state.
@@ -129,105 +114,36 @@ func (s *sim) runSingleFlow(packets int, seed int64) error {
 	cfg := s.cfg
 	rng := rand.New(rand.NewSource(seed))
 	w := cfg.Grid.WordWidth
-	nf, ns := len(cfg.Fields), len(cfg.States)
-	in := make([]uint64, nf)
-	interpPkt := make([]uint64, nf)
-	engPkt := make([]uint64, nf)
-	interpSt := make([]uint64, ns)
-	engSt := make([]uint64, ns)
-	refState := map[string]uint64{}
-	divergences := 0
+	in := make([]uint64, len(cfg.Fields))
+	pkt := make([]uint64, len(cfg.Fields))
+	st := make([]uint64, len(cfg.States))
+	var refState map[string]uint64
 	start := time.Now()
 	for i := 0; i < packets; i++ {
 		for k := range in {
 			in[k] = w.Trunc(rng.Uint64())
 		}
-		var outPkt, outSt []uint64
-		if s.engine != "compiled" {
-			copy(interpPkt, in)
-			cfg.ExecInto(s.scratch, interpPkt, interpSt)
-			outPkt, outSt = interpPkt, interpSt
-		}
-		if s.engine != "interp" {
-			copy(engPkt, in)
-			s.eng.ExecInto(s.buf, engPkt, engSt)
-			if outPkt == nil {
-				outPkt, outSt = engPkt, engSt
-			}
-		}
-		if s.engine == "both" {
-			if d := firstDiff(interpPkt, engPkt, interpSt, engSt); d != "" {
-				// The reproducer needs the state *before* this packet
-				// (both sides already advanced past it); re-derive it by
-				// replaying the first i packets.
-				preSt := s.replayPreState(seed, i)
-				return s.reportEngineDivergence(in, preSt, i, d)
-			}
-		}
+		copy(pkt, in)
+		s.eng.ExecInto(s.buf, pkt, st)
 		if s.trace {
 			fmt.Printf("pkt %3d: in=%s out=%s state=%s\n", i,
-				renderVec(cfg.Fields, in), renderVec(cfg.Fields, outPkt), renderVec(cfg.States, outSt))
+				renderVec(cfg.Fields, in), renderVec(cfg.Fields, pkt), renderVec(cfg.States, st))
 		}
 		if s.ref != nil {
-			snap := interp.NewSnapshot()
-			for k, f := range cfg.Fields {
-				snap.Pkt[f] = in[k]
-			}
-			for name, v := range refState {
-				snap.State[name] = v
-			}
-			want, err := s.ref.Run(s.prog, snap)
-			if err != nil {
+			var err error
+			if refState, err = s.checkSpec(fmt.Sprintf("pkt %d", i), in, pkt, st, refState); err != nil {
 				return err
 			}
-			for k, f := range cfg.Fields {
-				if outPkt[k] != want.Pkt[f] {
-					divergences++
-					fmt.Printf("DIVERGENCE pkt %d field %s: pipeline=%d spec=%d\n", i, f, outPkt[k], want.Pkt[f])
-				}
-			}
-			for k, st := range cfg.States {
-				if outSt[k] != want.State[st] {
-					divergences++
-					fmt.Printf("DIVERGENCE pkt %d state %s: pipeline=%d spec=%d\n", i, st, outSt[k], want.State[st])
-				}
-			}
-			refState = want.State
 		}
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("simulated %d packets through %d-stage pipeline", packets, cfg.Grid.Stages)
-	if s.ref != nil {
-		fmt.Printf("; %d divergences from specification", divergences)
-	}
-	fmt.Println()
-	throughput(packets, elapsed, s.engine)
-	if divergences > 0 {
-		os.Exit(4)
-	}
-	return nil
+	return s.finish(fmt.Sprintf("simulated %d packets through %d-stage pipeline", packets, cfg.Grid.Stages),
+		packets, time.Since(start))
 }
 
-// replayPreState re-derives the interpreter-side state vector as it stood
-// before packet index n (both engines agreed up to there).
-func (s *sim) replayPreState(seed int64, n int) []uint64 {
-	cfg := s.cfg
-	rng := rand.New(rand.NewSource(seed))
-	w := cfg.Grid.WordWidth
-	pkt := make([]uint64, len(cfg.Fields))
-	st := make([]uint64, len(cfg.States))
-	scratch := cfg.NewScratch()
-	for i := 0; i < n; i++ {
-		for k := range pkt {
-			pkt[k] = w.Trunc(rng.Uint64())
-		}
-		cfg.ExecInto(scratch, pkt, st)
-	}
-	return st
-}
-
-// runWorkload replays a generated multi-flow trace with per-flow state.
-func (s *sim) runWorkload(flows int, zipf float64, packets int, seed int64) error {
+// runWorkload replays a generated multi-flow trace with per-flow state:
+// as one sharded batch when no packet needs looking at, else packet by
+// packet.
+func (s *sim) runWorkload(flows int, zipf float64, packets int, seed int64, shards int) error {
 	cfg := s.cfg
 	trace := workload.Generate(workload.Spec{
 		Flows:   flows,
@@ -238,183 +154,98 @@ func (s *sim) runWorkload(flows int, zipf float64, packets int, seed int64) erro
 	fmt.Printf("workload: %s\n", workload.Summarize(trace))
 	flowIDs, vals, nFlows := workload.Flatten(trace, cfg.Fields)
 
-	// Pure compiled replay: the batch path, optionally sharded.
-	if s.engine == "compiled" {
-		if s.ref != nil {
-			return fmt.Errorf("-program needs a per-packet engine: use -engine interp or both")
-		}
+	if s.ref == nil && !s.trace {
 		start := time.Now()
-		res := linerate.ReplaySharded(s.eng, flowIDs, vals, nFlows, s.shards)
+		res := linerate.ReplaySharded(s.eng, flowIDs, vals, nFlows, shards)
 		elapsed := time.Since(start)
 		fmt.Printf("simulated %d packets across %d flows (checksum %#016x, %d shards)\n",
-			res.Packets, flows, res.Checksum, s.shards)
-		throughput(res.Packets, elapsed, s.engine)
+			res.Packets, flows, res.Checksum, shards)
+		throughput(res.Packets, elapsed)
 		return nil
 	}
 
 	nf, ns := len(cfg.Fields), len(cfg.States)
-	interpStates := make([][]uint64, nFlows)
-	engStates := make([][]uint64, nFlows)
+	w := cfg.Grid.WordWidth
+	states := make([][]uint64, nFlows)
+	refStates := make([]map[string]uint64, nFlows)
 	in := make([]uint64, nf)
-	interpPkt := make([]uint64, nf)
-	engPkt := make([]uint64, nf)
-	refState := map[int]map[string]uint64{}
-	divergences := 0
+	pkt := make([]uint64, nf)
 	start := time.Now()
-	for i, p := range trace {
-		flow := flowIDs[i]
-		copy(in, vals[i*nf:(i+1)*nf])
-		if interpStates[flow] == nil {
-			interpStates[flow] = make([]uint64, ns)
-			engStates[flow] = make([]uint64, ns)
+	for i, flow := range flowIDs {
+		for k, v := range vals[i*nf : (i+1)*nf] {
+			in[k] = w.Trunc(v)
 		}
-		copy(interpPkt, in)
-		cfg.ExecInto(s.scratch, interpPkt, interpStates[flow])
-		if s.engine == "both" {
-			copy(engPkt, in)
-			s.eng.ExecInto(s.buf, engPkt, engStates[flow])
-			if d := firstDiff(interpPkt, engPkt, interpStates[flow], engStates[flow]); d != "" {
-				preSt := replayFlowPreState(cfg, flowIDs, vals, flow, i)
-				return s.reportEngineDivergence(in, preSt, i, d)
-			}
+		if states[flow] == nil {
+			states[flow] = make([]uint64, ns)
 		}
+		copy(pkt, in)
+		s.eng.ExecInto(s.buf, pkt, states[flow])
 		if s.trace {
-			fmt.Printf("pkt %4d flow %2d out=%s\n", i, flow, renderVec(cfg.Fields, interpPkt))
+			fmt.Printf("pkt %4d flow %2d out=%s\n", i, flow, renderVec(cfg.Fields, pkt))
 		}
 		if s.ref != nil {
-			snap := interp.NewSnapshot()
-			for k, v := range p.Fields {
-				snap.Pkt[k] = cfg.Grid.WordWidth.Trunc(v)
-			}
-			for _, f := range cfg.Fields {
-				if _, ok := snap.Pkt[f]; !ok {
-					snap.Pkt[f] = 0
-				}
-			}
-			if st := refState[flow]; st != nil {
-				snap.State = st
-			}
-			want, err := s.ref.Run(s.prog, snap)
-			if err != nil {
+			var err error
+			label := fmt.Sprintf("pkt %d flow %d", i, flow)
+			if refStates[flow], err = s.checkSpec(label, in, pkt, states[flow], refStates[flow]); err != nil {
 				return err
-			}
-			refState[flow] = want.State
-			for k, f := range cfg.Fields {
-				if interpPkt[k] != want.Pkt[f] {
-					divergences++
-					fmt.Printf("DIVERGENCE pkt %d flow %d field %s: pipeline=%d spec=%d\n",
-						i, flow, f, interpPkt[k], want.Pkt[f])
-				}
 			}
 		}
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("simulated %d packets across %d flows", len(trace), flows)
+	return s.finish(fmt.Sprintf("simulated %d packets across %d flows", len(flowIDs), flows),
+		len(flowIDs), time.Since(start))
+}
+
+// checkSpec runs one packet through the spec interpreter from refState,
+// the spec's state for the packet's flow, and prints every field and
+// state where the pipeline's outputs differ. It returns the spec's new
+// state.
+func (s *sim) checkSpec(label string, in, outPkt, outSt []uint64, refState map[string]uint64) (map[string]uint64, error) {
+	cfg := s.cfg
+	snap := interp.NewSnapshot()
+	for k, f := range cfg.Fields {
+		snap.Pkt[f] = in[k]
+	}
+	for name, v := range refState {
+		snap.State[name] = v
+	}
+	want, err := s.ref.Run(s.prog, snap)
+	if err != nil {
+		return nil, err
+	}
+	for k, f := range cfg.Fields {
+		if outPkt[k] != want.Pkt[f] {
+			s.divergences++
+			fmt.Printf("DIVERGENCE %s field %s: pipeline=%d spec=%d\n", label, f, outPkt[k], want.Pkt[f])
+		}
+	}
+	for k, st := range cfg.States {
+		if outSt[k] != want.State[st] {
+			s.divergences++
+			fmt.Printf("DIVERGENCE %s state %s: pipeline=%d spec=%d\n", label, st, outSt[k], want.State[st])
+		}
+	}
+	return want.State, nil
+}
+
+// finish prints a per-packet run's summary and throughput, and exits 4
+// if the spec check found divergences.
+func (s *sim) finish(summary string, packets int, elapsed time.Duration) error {
+	fmt.Print(summary)
 	if s.ref != nil {
-		fmt.Printf("; %d divergences from specification", divergences)
+		fmt.Printf("; %d divergences from specification", s.divergences)
 	}
 	fmt.Println()
-	engine := s.engine
-	if engine == "both" {
-		engine = "both (lockstep)"
-	}
-	throughput(len(trace), elapsed, engine)
-	if divergences > 0 {
+	throughput(packets, elapsed)
+	if s.divergences > 0 {
 		os.Exit(4)
 	}
 	return nil
 }
 
-// replayFlowPreState re-derives one flow's interpreter-side state before
-// packet index n of a flattened trace.
-func replayFlowPreState(cfg *pisa.Config, flowIDs []int, vals []uint64, flow, n int) []uint64 {
-	nf := len(cfg.Fields)
-	pkt := make([]uint64, nf)
-	st := make([]uint64, len(cfg.States))
-	scratch := cfg.NewScratch()
-	for i := 0; i < n; i++ {
-		if flowIDs[i] != flow {
-			continue
-		}
-		copy(pkt, vals[i*nf:(i+1)*nf])
-		cfg.ExecInto(scratch, pkt, st)
-	}
-	return st
-}
-
-// firstDiff names the first slot where the two engines' outputs differ.
-func firstDiff(aPkt, bPkt, aSt, bSt []uint64) string {
-	for i := range aPkt {
-		if aPkt[i] != bPkt[i] {
-			return fmt.Sprintf("field %d: interp=%d compiled=%d", i, aPkt[i], bPkt[i])
-		}
-	}
-	for i := range aSt {
-		if aSt[i] != bSt[i] {
-			return fmt.Sprintf("state %d: interp=%d compiled=%d", i, aSt[i], bSt[i])
-		}
-	}
-	return ""
-}
-
-// reportEngineDivergence minimizes the diverging input and exits 4. The
-// reproducer it prints is a standalone (packet, pre-state) pair: feeding
-// it to both engines reproduces the disagreement without the trace.
-func (s *sim) reportEngineDivergence(fields, states []uint64, pktIdx int, detail string) error {
-	cfg := s.cfg
-	fmt.Printf("ENGINE DIVERGENCE at pkt %d: %s\n", pktIdx, detail)
-	minF, minS := shrinkReproducer(cfg, s.eng, fields, states)
-	fmt.Printf("minimized reproducer: pkt=%s state=%s\n",
-		renderVec(cfg.Fields, minF), renderVec(cfg.States, minS))
-	os.Exit(4)
-	return nil
-}
-
-// shrinkReproducer greedily minimizes a (packet, pre-state) input on which
-// the interpreted and compiled engines disagree, trying 0 then halvings
-// for every value until a fixpoint.
-func shrinkReproducer(cfg *pisa.Config, eng *linerate.Engine, fields, states []uint64) ([]uint64, []uint64) {
-	scratch := cfg.NewScratch()
-	buf := eng.NewBuf()
-	nf := len(fields)
-	cur := append(append([]uint64{}, fields...), states...)
-	a := make([]uint64, len(cur))
-	b := make([]uint64, len(cur))
-	diverges := func(in []uint64) bool {
-		copy(a, in)
-		copy(b, in)
-		cfg.ExecInto(scratch, a[:nf], a[nf:])
-		eng.ExecInto(buf, b[:nf], b[nf:])
-		for i := range a {
-			if a[i] != b[i] {
-				return true
-			}
-		}
-		return false
-	}
-	if !diverges(cur) {
-		// Divergence was state-history dependent in a way the standalone
-		// pair does not capture; report the unshrunk input.
-		return cur[:nf], cur[nf:]
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range cur {
-			orig := cur[i]
-			for _, cand := range []uint64{0, orig >> 1, orig - 1} {
-				if cand >= orig {
-					continue
-				}
-				cur[i] = cand
-				if diverges(cur) {
-					changed = true
-					break
-				}
-				cur[i] = orig
-			}
-		}
-	}
-	return cur[:nf], cur[nf:]
+// throughput prints the uniform summary line every run ends with.
+func throughput(packets int, elapsed time.Duration) {
+	pps := float64(packets) / elapsed.Seconds()
+	fmt.Printf("throughput: %d packets in %s (%.4g pps)\n", packets, elapsed, pps)
 }
 
 func renderVec(names []string, vals []uint64) string {

@@ -191,9 +191,12 @@ var kindNames = [numKinds]string{
 	"counter", "pred_raw", "if_else_raw", "sub", "nested_ifs", "pair",
 }
 
+// Valid reports whether k names a template in the catalog.
+func (k Kind) Valid() bool { return k >= 0 && k < numKinds }
+
 // String returns the template's name.
 func (k Kind) String() string {
-	if k >= 0 && k < numKinds {
+	if k.Valid() {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))

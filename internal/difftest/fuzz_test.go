@@ -2,15 +2,18 @@ package difftest
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/alu"
 	"repro/internal/arith"
 	"repro/internal/backend"
 	"repro/internal/bpf"
 	"repro/internal/core"
 	"repro/internal/pisa"
+	"repro/internal/programs"
 )
 
 // FuzzSolver derives a CNF from fuzz bytes and differentially tests the
@@ -151,6 +154,59 @@ func FuzzCompiledExec(f *testing.F) {
 					t.Fatalf("state %s: ExecInto=%d Datapath=%d\nconfig:\n%s", name, sv[i], wantS[i], cfg)
 				}
 			}
+		}
+	})
+}
+
+// FuzzConfigJSON fuzzes the configuration boundary: the bytes pisasim
+// -config and solcache.Load unmarshal into a pisa.Config. Whatever
+// Validate accepts must compile to the line-rate engine, run under both
+// executors without panicking, and agree between them. The seeds are a
+// synthesized corpus configuration and four one-edit variants of it that
+// each used to panic, in Validate or in an executor, instead of being
+// rejected.
+func FuzzConfigJSON(f *testing.F) {
+	b, err := programs.ByName("sampling")
+	if err != nil {
+		f.Fatal(err)
+	}
+	rep, err := core.Compile(context.Background(), b.Parse(), core.Options{
+		Width:        b.Width,
+		MaxStages:    b.MaxStages,
+		StatelessALU: alu.Stateless{ConstBits: b.ConstBits},
+		StatefulALU:  alu.Stateful{Kind: b.StatefulALU, ConstBits: b.ConstBits},
+		Seed:         1,
+	})
+	if err != nil || !rep.Feasible {
+		f.Fatalf("compiling the seed configuration: %v", err)
+	}
+	cfg := rep.Config
+	for _, edit := range []func(c *pisa.Config){
+		func(*pisa.Config) {},
+		func(c *pisa.Config) { c.Values = nil },
+		func(c *pisa.Config) { c.Grid.Stages++ },
+		func(c *pisa.Config) { c.Grid.StatefulALU.Kind = 99 },
+		func(c *pisa.Config) { c.Values.OMux = [][]uint64{{}} },
+	} {
+		c := *cfg
+		h := *cfg.Values
+		c.Values = &h
+		edit(&c)
+		data, err := json.Marshal(&c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cfg pisa.Config
+		if json.Unmarshal(data, &cfg) != nil || cfg.Validate() != nil {
+			return
+		}
+		nVars := len(cfg.Fields) + len(cfg.States)
+		rng := rand.New(rand.NewSource(1))
+		if d := backend.Probe(cfg.Grid.WordWidth, nVars, rng, 256, engineCheck(&cfg)); d != nil {
+			t.Fatalf("%s\nconfig:\n%s", d, &cfg)
 		}
 	})
 }

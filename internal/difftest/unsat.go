@@ -5,11 +5,9 @@ import (
 	"math/rand"
 	"slices"
 
-	"repro/internal/alu"
 	"repro/internal/backend"
 	"repro/internal/cegis"
 	"repro/internal/pisa"
-	"repro/internal/word"
 )
 
 // SpotCheckInfeasible probes an UNSAT-at-depth claim: when core.Compile
@@ -66,7 +64,8 @@ func SpotCheckInfeasible(sc Scenario, stages, samples int, seed int64) *Discrepa
 		if d := CheckConfigEquivalence(sc.Prog, cfg, seed+int64(i)); d != nil {
 			continue
 		}
-		synthW := effectiveSynthWidth(grid)
+		// The synthesis width, clamped as cegis clamps it.
+		synthW := max(cegis.DefaultSynthWidth, grid.MinWidth())
 		if nVars > 0 && int(synthW)*nVars <= backend.ExhaustiveBits {
 			if backend.Sweep(synthW, nVars, backend.NewChecker(sc.Prog, cfg.WithRunWidth(synthW)).Compare) != nil {
 				continue
@@ -79,31 +78,6 @@ func SpotCheckInfeasible(sc Scenario, stages, samples int, seed int64) *Discrepa
 		}
 	}
 	return nil
-}
-
-// effectiveSynthWidth mirrors cegis's clamp of the synthesis width to the
-// sketch's minimum sound width: the widest control hole must not truncate.
-// The dominant control hole is the 4-bit stateless opcode, so the default
-// synthesis width already sits at the clamp for the campaign's grids.
-func effectiveSynthWidth(grid pisa.GridSpec) word.Width {
-	w := cegis.DefaultSynthWidth
-	min := word.Width(alu.OpcodeBits)
-	probe := func(bits int) {
-		if word.Width(bits) > min {
-			min = word.Width(bits)
-		}
-	}
-	probe(grid.InputMuxBits())
-	probe(grid.OutputMuxBits())
-	for _, d := range grid.StatefulALU.Holes() {
-		if !d.Data {
-			probe(d.Bits)
-		}
-	}
-	if min > w {
-		w = min
-	}
-	return w
 }
 
 // agreesOn reports whether the checker's configuration matches the

@@ -6,16 +6,15 @@
 //
 // Two backends are provided:
 //
-//   - Go translates a pisa.Config into a standalone, dependency-free Go
-//     program that implements the same packet transaction. The translation
-//     reuses the repository's core trick one more time: arith.Arith is
-//     instantiated with V = string, where each operation emits one SSA
-//     assignment into the output buffer and returns the fresh variable's
-//     name. Because the datapath is evaluated with the configuration's
-//     *concrete* hole values, every mux chain and opcode dispatch is
-//     resolved at emission, not run time — this is compilation, not
-//     interpretation — and the emitted program is differential-tested
-//     against the simulator by actually building and running it.
+//   - Go prints a pisa.Config's line-rate register program
+//     (internal/linerate) as a standalone, dependency-free Go program
+//     that implements the same packet transaction. linerate.Compile has
+//     already resolved every mux chain, opcode dispatch and salu_active
+//     guard against the configuration's concrete hole values, dropped
+//     dead ALUs and computed shared values once, so the emitted code is
+//     straight-line — compilation, not interpretation — and it is
+//     differential-tested against the simulator by actually building and
+//     running it.
 //
 //   - P4 renders the configuration as a P4-16-flavored program (headers,
 //     registers with @atomic apply blocks, one action per used ALU, a
@@ -30,127 +29,12 @@ import (
 	"strings"
 
 	"repro/internal/alu"
-	"repro/internal/arith"
+	"repro/internal/linerate"
 	"repro/internal/pisa"
 	"repro/internal/word"
 )
 
 // --- Go backend ----------------------------------------------------------------
-
-// goEmitter implements arith.Arith[string]: every operation appends one SSA
-// assignment and returns the variable holding the result. Constants embed
-// directly as literals.
-type goEmitter struct {
-	n     int
-	lines []ssaLine
-}
-
-type ssaLine struct {
-	name string
-	expr string
-}
-
-var _ arith.Arith[string] = (*goEmitter)(nil)
-
-func (e *goEmitter) emit(expr string) string {
-	e.n++
-	v := fmt.Sprintf("v%d", e.n)
-	e.lines = append(e.lines, ssaLine{name: v, expr: expr})
-	return v
-}
-
-// liveLines performs dead-code elimination: only SSA assignments reachable
-// from the root variables survive. The datapath computes every ALU's
-// output whether or not the output muxes route it; the emitted program
-// keeps just the used cone, like a real backend.
-func (e *goEmitter) liveLines(roots []string) []ssaLine {
-	live := map[string]bool{}
-	for _, r := range roots {
-		for _, v := range ssaVars(r) {
-			live[v] = true
-		}
-	}
-	// Reverse sweep: SSA order guarantees deps precede uses.
-	keep := make([]bool, len(e.lines))
-	for i := len(e.lines) - 1; i >= 0; i-- {
-		if !live[e.lines[i].name] {
-			continue
-		}
-		keep[i] = true
-		for _, v := range ssaVars(e.lines[i].expr) {
-			live[v] = true
-		}
-	}
-	var out []ssaLine
-	for i, l := range e.lines {
-		if keep[i] {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// ssaVars extracts the v<N> identifiers referenced by an expression.
-func ssaVars(expr string) []string {
-	var out []string
-	for i := 0; i < len(expr); i++ {
-		if expr[i] != 'v' {
-			continue
-		}
-		// Must not be part of a longer identifier.
-		if i > 0 && (isAlnum(expr[i-1]) || expr[i-1] == '_') {
-			continue
-		}
-		j := i + 1
-		for j < len(expr) && expr[j] >= '0' && expr[j] <= '9' {
-			j++
-		}
-		if j == i+1 {
-			continue // bare 'v'
-		}
-		if j < len(expr) && (isAlnum(expr[j]) || expr[j] == '_') {
-			continue
-		}
-		out = append(out, expr[i:j])
-		i = j - 1
-	}
-	return out
-}
-
-func isAlnum(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
-
-// ConstInt implements Arith; values are emitted as decimal literals so the
-// generated source stays readable.
-func (e *goEmitter) ConstInt(v int64) string {
-	return fmt.Sprintf("c(%d)", v)
-}
-
-// Binary operations delegate to the tiny runtime emitted in the prelude,
-// which reproduces internal/word's semantics at the config's width.
-func (e *goEmitter) Add(a, b string) string    { return e.emit(fmt.Sprintf("add(%s, %s)", a, b)) }
-func (e *goEmitter) Sub(a, b string) string    { return e.emit(fmt.Sprintf("sub(%s, %s)", a, b)) }
-func (e *goEmitter) Mul(a, b string) string    { return e.emit(fmt.Sprintf("mul(%s, %s)", a, b)) }
-func (e *goEmitter) BitAnd(a, b string) string { return e.emit(fmt.Sprintf("band(%s, %s)", a, b)) }
-func (e *goEmitter) BitOr(a, b string) string  { return e.emit(fmt.Sprintf("bor(%s, %s)", a, b)) }
-func (e *goEmitter) BitXor(a, b string) string { return e.emit(fmt.Sprintf("bxor(%s, %s)", a, b)) }
-func (e *goEmitter) BitNot(a string) string    { return e.emit(fmt.Sprintf("bnot(%s)", a)) }
-func (e *goEmitter) Neg(a string) string       { return e.emit(fmt.Sprintf("neg(%s)", a)) }
-func (e *goEmitter) Shl(a, b string) string    { return e.emit(fmt.Sprintf("shl(%s, %s)", a, b)) }
-func (e *goEmitter) Shr(a, b string) string    { return e.emit(fmt.Sprintf("shr(%s, %s)", a, b)) }
-func (e *goEmitter) Eq(a, b string) string     { return e.emit(fmt.Sprintf("eq(%s, %s)", a, b)) }
-func (e *goEmitter) Ne(a, b string) string     { return e.emit(fmt.Sprintf("ne(%s, %s)", a, b)) }
-func (e *goEmitter) Lt(a, b string) string     { return e.emit(fmt.Sprintf("lt(%s, %s)", a, b)) }
-func (e *goEmitter) Le(a, b string) string     { return e.emit(fmt.Sprintf("le(%s, %s)", a, b)) }
-func (e *goEmitter) Gt(a, b string) string     { return e.emit(fmt.Sprintf("lt(%s, %s)", b, a)) }
-func (e *goEmitter) Ge(a, b string) string     { return e.emit(fmt.Sprintf("le(%s, %s)", b, a)) }
-func (e *goEmitter) LAnd(a, b string) string   { return e.emit(fmt.Sprintf("land(%s, %s)", a, b)) }
-func (e *goEmitter) LOr(a, b string) string    { return e.emit(fmt.Sprintf("lor(%s, %s)", a, b)) }
-func (e *goEmitter) LNot(a string) string      { return e.emit(fmt.Sprintf("lnot(%s)", a)) }
-func (e *goEmitter) Mux(c, t, f string) string {
-	return e.emit(fmt.Sprintf("mux(%s, %s, %s)", c, t, f))
-}
 
 // Go translates the configuration into a self-contained Go source file.
 // The generated program exposes
@@ -160,47 +44,44 @@ func (e *goEmitter) Mux(c, t, f string) string {
 // and a main() that runs `packets` deterministic pseudo-random packets
 // through it, printing one CSV line per packet — the harness the
 // differential test drives.
+//
+// process is the configuration's line-rate register program
+// (linerate.Compile) printed one assignment per register: the constants,
+// the loads, one rD := op(rA, rB[, rC]) per instruction, then the stores.
+// It therefore carries linerate's dead-code and common-subexpression
+// elimination, and every operator has one Go helper in the prelude.
 func Go(cfg *pisa.Config, packets int, seed uint64) (string, error) {
-	if err := cfg.Validate(); err != nil {
+	eng, err := linerate.Compile(cfg)
+	if err != nil {
 		return "", err
 	}
-	e := &goEmitter{}
-	w := cfg.Grid.WordWidth
-
-	// Field and state loads.
-	fieldVars := make([]string, len(cfg.Fields))
-	for i, f := range cfg.Fields {
-		fieldVars[i] = e.emit(fmt.Sprintf("trunc(pkt[%q])", f))
-	}
-	stateVars := make([]string, len(cfg.States))
-	for i, s := range cfg.States {
-		stateVars[i] = e.emit(fmt.Sprintf("trunc(state[%q])", s))
-	}
-
-	// The datapath, fully resolved: hole values are concrete, so the
-	// emitter sees literals everywhere a configuration bit is consulted.
-	holes := pisa.MapHoles(cfg.Values, func(v uint64) string {
-		return fmt.Sprintf("c(%d)", v)
-	})
-	outF, outS := pisa.Datapath[string](e, cfg.Grid, holes, fieldVars, stateVars)
-
-	roots := append(append([]string{}, outF...), outS...)
+	p := eng.Program()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, goPrelude, w, w.Mask())
+	fmt.Fprintf(&sb, goPrelude, p.Width, p.Width.Mask())
 	sb.WriteString("func process(pkt, state map[string]uint64) (map[string]uint64, map[string]uint64) {\n")
-	if len(cfg.States) == 0 {
-		sb.WriteString("\t_ = state\n")
+	for r, k := range p.Consts {
+		fmt.Fprintf(&sb, "\tr%d := uint64(%d)\n", r, k)
 	}
-	for _, line := range e.liveLines(roots) {
-		fmt.Fprintf(&sb, "\t%s := %s\n", line.name, line.expr)
+	for _, l := range p.FieldIn {
+		fmt.Fprintf(&sb, "\tr%d := trunc(pkt[%q])\n", l.Dst, cfg.Fields[l.Src])
+	}
+	for _, l := range p.StateIn {
+		fmt.Fprintf(&sb, "\tr%d := trunc(state[%q])\n", l.Dst, cfg.States[l.Src])
+	}
+	for _, in := range p.Instrs {
+		args := make([]string, len(in.Args))
+		for i, a := range in.Args {
+			args[i] = fmt.Sprintf("r%d", a)
+		}
+		fmt.Fprintf(&sb, "\tr%d := %s(%s)\n", in.Dst, in.Op, strings.Join(args, ", "))
 	}
 	sb.WriteString("\toutPkt := map[string]uint64{}\n")
-	for k := range cfg.Fields {
-		fmt.Fprintf(&sb, "\toutPkt[%q] = %s\n", cfg.Fields[k], outF[k])
+	for f, r := range p.FieldOut {
+		fmt.Fprintf(&sb, "\toutPkt[%q] = r%d\n", cfg.Fields[f], r)
 	}
 	sb.WriteString("\toutState := map[string]uint64{}\n")
-	for k := range cfg.States {
-		fmt.Fprintf(&sb, "\toutState[%q] = %s\n", cfg.States[k], outS[k])
+	for s, r := range p.StateOut {
+		fmt.Fprintf(&sb, "\toutState[%q] = r%d\n", cfg.States[s], r)
 	}
 	sb.WriteString("\treturn outPkt, outState\n}\n\n")
 
@@ -231,9 +112,9 @@ func Go(cfg *pisa.Config, packets int, seed uint64) (string, error) {
 	return sb.String(), nil
 }
 
-// goPrelude is the emitted runtime: internal/word's semantics at a fixed
-// width, in ~40 lines of dependency-free Go. %[1]d is the width, %[2]d the
-// mask.
+// goPrelude is the emitted runtime: one helper per linerate operator,
+// each internal/word's function of that name at a fixed width, in ~45
+// lines of dependency-free Go. %[1]d is the width, %[2]d the mask.
 const goPrelude = `// Code generated by repro/internal/emit. DO NOT EDIT.
 //
 // A packet-processing pipeline synthesized by Chipmunk, translated to
@@ -245,7 +126,6 @@ import "fmt"
 const mask = uint64(%[2]d)
 
 func trunc(v uint64) uint64 { return v & mask }
-func c(v int64) uint64      { return uint64(v) & mask }
 func toInt(v uint64) int64 {
 	v &= mask
 	if v&(mask>>1+1) != 0 {
@@ -259,14 +139,14 @@ func b2w(b bool) uint64 {
 	}
 	return 0
 }
-func add(a, b uint64) uint64  { return (a + b) & mask }
-func sub(a, b uint64) uint64  { return (a - b) & mask }
-func mul(a, b uint64) uint64  { return (a * b) & mask }
-func band(a, b uint64) uint64 { return a & b & mask }
-func bor(a, b uint64) uint64  { return (a | b) & mask }
-func bxor(a, b uint64) uint64 { return (a ^ b) & mask }
-func bnot(a uint64) uint64    { return (^a) & mask }
-func neg(a uint64) uint64     { return (-a) & mask }
+func add(a, b uint64) uint64 { return (a + b) & mask }
+func sub(a, b uint64) uint64 { return (a - b) & mask }
+func mul(a, b uint64) uint64 { return (a * b) & mask }
+func and(a, b uint64) uint64 { return a & b & mask }
+func or(a, b uint64) uint64  { return (a | b) & mask }
+func xor(a, b uint64) uint64 { return (a ^ b) & mask }
+func not(a uint64) uint64    { return (^a) & mask }
+func neg(a uint64) uint64    { return (-a) & mask }
 func shl(a, b uint64) uint64 {
 	if b >= %[1]d {
 		return 0
@@ -283,6 +163,8 @@ func eq(a, b uint64) uint64   { return b2w(a&mask == b&mask) }
 func ne(a, b uint64) uint64   { return b2w(a&mask != b&mask) }
 func lt(a, b uint64) uint64   { return b2w(toInt(a) < toInt(b)) }
 func le(a, b uint64) uint64   { return b2w(toInt(a) <= toInt(b)) }
+func gt(a, b uint64) uint64   { return b2w(toInt(a) > toInt(b)) }
+func ge(a, b uint64) uint64   { return b2w(toInt(a) >= toInt(b)) }
 func land(a, b uint64) uint64 { return b2w(a != 0 && b != 0) }
 func lor(a, b uint64) uint64  { return b2w(a != 0 || b != 0) }
 func lnot(a uint64) uint64    { return b2w(a == 0) }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -128,6 +129,21 @@ func linerateCSV(t *testing.T, cfg *pisa.Config, packets int, seed uint64) strin
 	return sb.String()
 }
 
+// instrAssign matches one emitted instruction, rD := op(rA[, rB[, rC]]);
+// constants and loads take no register operands.
+var instrAssign = regexp.MustCompile(`(?m)^\tr\d+ := [a-z]+\(r\d+(, r\d+)*\)$`)
+
+// processBody returns the emitted process function's body.
+func processBody(t *testing.T, src string) string {
+	t.Helper()
+	start := strings.Index(src, "func process(")
+	end := strings.Index(src[max(start, 0):], "\n}\n")
+	if start < 0 || end < 0 {
+		t.Fatalf("no process function in:\n%s", src)
+	}
+	return src[start : start+end]
+}
+
 // TestThreeWayCorpusDifferential cross-checks three independent execution
 // paths on every corpus program: the reference interpreter running the
 // source program, the compiled line-rate engine running the synthesized
@@ -157,6 +173,15 @@ func TestThreeWayCorpusDifferential(t *testing.T) {
 			src, err := Go(cfg, packets, seed)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// process is the engine's program: one assignment per
+			// instruction, so no dead ALU or duplicate value came back.
+			eng, err := linerate.Compile(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := len(instrAssign.FindAllString(processBody(t, src), -1)), len(eng.Program().Instrs); got != want {
+				t.Fatalf("emitted process holds %d instruction assignments, the engine runs %d:\n%s", got, want, src)
 			}
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {

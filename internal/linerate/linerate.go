@@ -84,6 +84,15 @@ var arity = [numOpcodes]int{
 	opMux: 3,
 }
 
+// opNames name the opcodes in Program, the view every rendering of an
+// engine's program (a disassembly, emitted Go) is printed from.
+var opNames = [numOpcodes]string{
+	opAdd: "add", opSub: "sub", opMul: "mul", opAnd: "and", opOr: "or", opXor: "xor",
+	opShl: "shl", opShr: "shr", opEq: "eq", opNe: "ne", opLt: "lt", opLe: "le",
+	opGt: "gt", opGe: "ge", opLAnd: "land", opLOr: "lor", opNot: "not", opNeg: "neg",
+	opLNot: "lnot", opMux: "mux",
+}
+
 // instr computes r[dst] = op(r[a], r[b], r[c]); operands past the
 // opcode's arity are -1.
 type instr struct {
@@ -287,6 +296,65 @@ func (e *Engine) Fields() []string { return e.fields }
 
 // States returns the state names in slot order (aliased; do not mutate).
 func (e *Engine) States() []string { return e.states }
+
+// Program is a read-only view of an engine's register program, in the
+// order ExecInto runs it: register i < len(Consts) holds Consts[i], the
+// loads fill the input registers some output reads, the instructions run
+// in order, and the stores copy out the output registers.
+type Program struct {
+	Width    word.Width // every instruction computes at this width
+	Consts   []uint64
+	FieldIn  []Load // field slot (Fields order) -> register
+	StateIn  []Load // state slot (States order) -> register
+	Instrs   []Instr
+	FieldOut []int // FieldOut[f] is the register stored to field f
+	StateOut []int // StateOut[s] is the register stored to state s
+}
+
+// Load copies input slot Src into register Dst, truncated to the width.
+type Load struct{ Src, Dst int }
+
+// Instr computes register Dst = Op(Args...). Op is the operator's name —
+// add, sub, mul, and, or, xor, shl, shr, eq, ne, lt, le, gt, ge, land,
+// lor, not, neg, lnot or mux — and means the internal/word function of
+// that name at the program's width (mux is word.Mux, an eager select).
+type Instr struct {
+	Op   string
+	Dst  int
+	Args []int
+}
+
+// Program returns a copy of the engine's register program.
+func (e *Engine) Program() Program {
+	ints := func(rs []int32) []int {
+		out := make([]int, len(rs))
+		for i, r := range rs {
+			out[i] = int(r)
+		}
+		return out
+	}
+	loads := func(ls []load) []Load {
+		out := make([]Load, len(ls))
+		for i, l := range ls {
+			out[i] = Load{Src: int(l.src), Dst: int(l.dst)}
+		}
+		return out
+	}
+	p := Program{
+		Width:    e.w,
+		Consts:   slices.Clone(e.consts),
+		FieldIn:  loads(e.fieldIn),
+		StateIn:  loads(e.stateIn),
+		Instrs:   make([]Instr, len(e.prog)),
+		FieldOut: ints(e.fieldOut),
+		StateOut: ints(e.stateOut),
+	}
+	for i, in := range e.prog {
+		args := []int{int(in.a), int(in.b), int(in.c)}[:arity[in.op]]
+		p.Instrs[i] = Instr{Op: opNames[in.op], Dst: int(in.dst), Args: args}
+	}
+	return p
+}
 
 // Compile specializes a validated configuration into an Engine.
 func Compile(cfg *pisa.Config) (*Engine, error) {

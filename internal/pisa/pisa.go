@@ -23,6 +23,7 @@ package pisa
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/alu"
@@ -62,7 +63,26 @@ func (g GridSpec) Validate() error {
 	if err := g.WordWidth.Validate(); err != nil {
 		return err
 	}
+	if !g.StatefulALU.Kind.Valid() {
+		return fmt.Errorf("pisa: unknown stateful ALU kind %d", int(g.StatefulALU.Kind))
+	}
 	return nil
+}
+
+// MinWidth is the narrowest datapath width at which the grid's holes can
+// be instantiated without truncating a control hole: the widest non-data
+// hole NewHoles makes (TestMinWidthMatchesNewHoles pins the two together).
+// Data holes may truncate, because truncation commutes with the
+// arithmetic they feed; see alu.HoleDef.
+func (g GridSpec) MinWidth() word.Width {
+	// Input and output muxes; salu_active and field_alloc are 1 bit.
+	widest := max(1, g.InputMuxBits(), g.OutputMuxBits())
+	for _, d := range slices.Concat(g.StatelessALU.Holes(), g.StatefulALU.Holes()) {
+		if !d.Data {
+			widest = max(widest, d.Bits)
+		}
+	}
+	return word.Width(widest)
 }
 
 // StateSlots returns how many state variables the grid can hold per stage
@@ -334,6 +354,9 @@ func (c *Config) Validate() error {
 	if err := c.Grid.Validate(); err != nil {
 		return err
 	}
+	if err := c.validateShape(); err != nil {
+		return err
+	}
 	if len(c.Fields) > c.Grid.Width && c.Values.FieldAlloc == nil {
 		return fmt.Errorf("pisa: %d fields exceed %d containers", len(c.Fields), c.Grid.Width)
 	}
@@ -359,8 +382,13 @@ func (c *Config) Validate() error {
 	if m := c.Values.FieldAlloc; m != nil {
 		for f := range m {
 			sum := uint64(0)
-			for c := range m[f] {
-				sum += m[f][c]
+			for c, v := range m[f] {
+				// Indicators are 1-bit holes; a wider value could wrap
+				// the sums below.
+				if v > 1 {
+					return fmt.Errorf("pisa: field %d container %d indicator is %d, want 0 or 1", f, c, v)
+				}
+				sum += v
 			}
 			if sum != 1 {
 				return fmt.Errorf("pisa: field %d allocated to %d containers, want exactly 1", f, sum)
@@ -379,12 +407,67 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// validateShape checks that the hole tables are the grid's shape, so
+// nothing downstream indexes past them: every per-ALU table is Stages ×
+// Width, the indicator matrix (when set) has one Width-long row per field,
+// and every stateful ALU carries each hole its template reads.
+func (c *Config) validateShape() error {
+	h, g := c.Values, c.Grid
+	if h == nil {
+		return fmt.Errorf("pisa: configuration has no hole values")
+	}
+	for _, err := range []error{
+		checkTable("stateless", h.Stateless, g.Stages, g.Width),
+		checkTable("stateful", h.Stateful, g.Stages, g.Width),
+		checkTable("omux", h.OMux, g.Stages, g.Width),
+		checkTable("salu_active", h.SaluActive, g.Stages, g.Width),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	if h.FieldAlloc != nil {
+		if err := checkTable("field_alloc", h.FieldAlloc, len(c.Fields), g.Width); err != nil {
+			return err
+		}
+	}
+	var need []string
+	for _, d := range g.StatefulALU.Holes() {
+		need = append(need, d.Name)
+	}
+	need = append(need, imuxNames[:g.StatefulALU.NumPacketOperands()]...)
+	for i, row := range h.Stateful {
+		for j, m := range row {
+			for _, name := range need {
+				if _, ok := m[name]; !ok {
+					return fmt.Errorf("pisa: stateful ALU (%d, %d) has no %q hole", i, j, name)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkTable returns an error unless t is rows × cols.
+func checkTable[T any](name string, t [][]T, rows, cols int) error {
+	if len(t) != rows {
+		return fmt.Errorf("pisa: %s has %d rows, want %d", name, len(t), rows)
+	}
+	for i, row := range t {
+		if len(row) != cols {
+			return fmt.Errorf("pisa: %s row %d has %d entries, want %d", name, i, len(row), cols)
+		}
+	}
+	return nil
+}
+
 // --- Allocation-free execution -------------------------------------------------
 
 // ExecScratch holds the buffers ExecInto threads one packet through the
 // pipeline with. Allocate once per goroutine with NewScratch and reuse it
-// across packets; the hot interpreter-side loops (pisasim cross-checks,
-// difftest equivalence probes) then run without per-packet allocation.
+// across packets; the hot interpreter-side loops (difftest equivalence
+// probes, the benchmark's interpreter baseline) then run without
+// per-packet allocation.
 type ExecScratch struct {
 	// a holds the concrete arithmetic pre-boxed as an interface so the
 	// per-packet path performs no interface conversion (which would

@@ -460,3 +460,67 @@ func TestExecIntoDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// TestConfigValidateRejectsMalformed feeds Validate configurations that
+// were well formed but for one edit, each of which used to panic in
+// Validate or an executor instead of being rejected.
+func TestConfigValidateRejectsMalformed(t *testing.T) {
+	valid := func() *Config {
+		g := testGrid(1, 2, alu.IfElseRaw)
+		h := NewHoles[uint64](g, true, 1, func(string, int, bool) uint64 { return 0 })
+		h.SaluActive[0][0] = 1
+		h.FieldAlloc[0][1] = 1
+		return &Config{Grid: g, Fields: []string{"a"}, States: []string{"s"}, Values: h}
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("unedited config rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(c *Config)
+		want string
+	}{
+		{"values removed", func(c *Config) { c.Values = nil }, "no hole values"},
+		{"more stages than tables", func(c *Config) { c.Grid.Stages = 2 }, "want 2"},
+		{"unknown stateful kind", func(c *Config) { c.Grid.StatefulALU.Kind = 99 }, "unknown stateful ALU kind 99"},
+		{"empty omux row", func(c *Config) { c.Values.OMux = [][]uint64{{}} }, "omux row 0"},
+		{"stateful hole missing", func(c *Config) { delete(c.Values.Stateful[0][1], "out_sel") }, `"out_sel"`},
+		{"field_alloc row short", func(c *Config) { c.Values.FieldAlloc[0] = []uint64{1} }, "field_alloc row 0"},
+		{"field_alloc rows != fields", func(c *Config) { c.Fields = append(c.Fields, "b") }, "field_alloc has 1 rows"},
+		{"field_alloc indicator not a bit", func(c *Config) { c.Values.FieldAlloc[0][0] = 1 << 63 }, "indicator is"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := valid()
+			tc.edit(c)
+			err := c.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestMinWidthMatchesNewHoles pins GridSpec.MinWidth to its definition:
+// the widest control (non-data) hole NewHoles makes for the grid.
+func TestMinWidthMatchesNewHoles(t *testing.T) {
+	for kind := alu.Counter; kind.Valid(); kind++ {
+		// Up to 40 containers, so the output mux (6 bits) outgrows the
+		// 4-bit stateless opcode.
+		for _, width := range []int{1, 3, 17, 40} {
+			for _, indicator := range []bool{false, true} {
+				g := testGrid(2, width, kind)
+				g.StatelessALU.ConstBits, g.StatefulALU.ConstBits = 8, 7
+				want := 0
+				NewHoles[int](g, indicator, width, func(_ string, bits int, data bool) int {
+					if !data {
+						want = max(want, bits)
+					}
+					return 0
+				})
+				if got := g.MinWidth(); int(got) != want {
+					t.Errorf("%v width %d indicator %v: MinWidth = %d, widest control hole is %d bits", kind, width, indicator, got, want)
+				}
+			}
+		}
+	}
+}

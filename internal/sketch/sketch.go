@@ -62,7 +62,6 @@ type Sketch struct {
 	views     map[word.Width]*pisa.Holes[circuit.Word]
 	holeBits  map[string]int
 	holeNames []string // deterministic order
-	minWidth  word.Width
 }
 
 // New builds a sketch for the grid and program shape. The grid's WordWidth
@@ -85,14 +84,10 @@ func New(b *circuit.Builder, grid pisa.GridSpec, numFields, numStates int, opts 
 		NumStates: numStates,
 		holeBits:  map[string]int{},
 	}
-	s.minWidth = 1
 	s.holes = pisa.NewHoles[circuit.Word](grid, opts.IndicatorAlloc, numFields,
-		func(name string, bits int, data bool) circuit.Word {
+		func(name string, bits int, _ bool) circuit.Word {
 			s.holeBits[name] = bits
 			s.holeNames = append(s.holeNames, name)
-			if !data && word.Width(bits) > s.minWidth {
-				s.minWidth = word.Width(bits)
-			}
 			return b.InputWord(name, word.Width(bits))
 		})
 	return s, nil
@@ -152,12 +147,13 @@ func holeClass(name string) string {
 }
 
 // MinWidth is the narrowest datapath width at which the sketch may be
-// instantiated soundly: the width of the widest *control* hole. At
-// narrower widths control encodings would truncate and alias (opcode 14
-// read as opcode 6), making the synthesis constraints inconsistent with
-// wide-width verification. Data holes (immediates) may truncate freely —
-// truncation commutes with the arithmetic they feed.
-func (s *Sketch) MinWidth() word.Width { return s.minWidth }
+// instantiated soundly: the width of the widest *control* hole
+// (pisa.GridSpec.MinWidth). At narrower widths control encodings would
+// truncate and alias (opcode 14 read as opcode 6), making the synthesis
+// constraints inconsistent with wide-width verification. Data holes
+// (immediates) may truncate freely — truncation commutes with the
+// arithmetic they feed.
+func (s *Sketch) MinWidth() word.Width { return s.Grid.MinWidth() }
 
 // holesAt returns the hole structure with every word adjusted to width w.
 // A CEGIS run instantiates at no more than two widths, so each view is

@@ -34,7 +34,6 @@ package backend
 
 import (
 	"repro/internal/circuit"
-	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -74,9 +73,6 @@ type Sketch interface {
 	// instantiated soundly: the width of the widest control hole (control
 	// encodings must not truncate; data holes/immediates may).
 	MinWidth() word.Width
-	// PublishMetrics records the hole inventory into the registry (a nil
-	// registry no-ops).
-	PublishMetrics(reg *obs.Registry)
 	// Instantiate runs the symbolic datapath at width w over the given
 	// field and state words (each of width w), returning the output words.
 	Instantiate(w word.Width, fields, states []circuit.Word) (outFields, outStates []circuit.Word)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/arith"
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -118,27 +117,6 @@ func (s *Sketch) HoleInventory() (names []string, bits []int) {
 // 5-bit opcode selector dominates unless the register file or state map
 // needs more selector bits).
 func (s *Sketch) MinWidth() word.Width { return s.minWidth }
-
-// PublishMetrics implements backend.Sketch.
-func (s *Sketch) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	holes, bits := s.HoleCount()
-	reg.Gauge("sketch.holes").Set(int64(holes))
-	reg.Gauge("sketch.hole_bits").Set(int64(bits))
-	classBits := map[string]int64{"op": 0, "dst": 0, "src": 0, "imm": 0, "cell": 0}
-	for i, name := range s.holeNames {
-		for class := range classBits {
-			if len(name) >= len(class) && name[len(name)-len(class):] == class {
-				classBits[class] += int64(s.holeBits[i])
-			}
-		}
-	}
-	for class, b := range classBits {
-		reg.Gauge("sketch.hole_bits.slot_" + class).Set(b)
-	}
-}
 
 // holesAt returns the hole structure with every word adjusted to width w.
 // A CEGIS run instantiates at no more than two widths, so each view is

@@ -36,6 +36,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -154,11 +155,8 @@ type Result struct {
 	// Decisions and Propagations aggregate SAT effort across both phases.
 	Decisions    int64
 	Propagations int64
-	// PeakCNFVars and PeakCNFClauses are the largest encoding any single
-	// phase solver reached; Gates is the largest circuit DAG built.
-	PeakCNFVars    int
-	PeakCNFClauses int
-	Gates          int
+	// PeakCNFVars is the largest encoding any single phase solver reached.
+	PeakCNFVars int
 	// Elapsed is total wall-clock time.
 	Elapsed time.Duration
 }
@@ -177,7 +175,7 @@ var progressInterval int64 = 5000
 // observable; without one, no progress hook is installed.
 func solveTraced(ctx context.Context, s *sat.Solver, phase string, assumptions ...sat.Lit) (st sat.Status, delta sat.Stats, timedOut bool) {
 	solveCtx, span := obs.StartSpan(ctx, "sat.solve")
-	if span != nil {
+	if obs.TracerFrom(ctx) != nil {
 		s.SetProgress(progressInterval, func(now sat.Stats) {
 			obs.Note(solveCtx, "sat.progress", obs.String("phase", phase),
 				obs.Int64("conflicts", now.Conflicts), obs.Int64("decisions", now.Decisions),
@@ -193,31 +191,18 @@ func solveTraced(ctx context.Context, s *sat.Solver, phase string, assumptions .
 		obs.Int64("decisions", delta.Decisions),
 		obs.Int64("propagations", delta.Propagations),
 		obs.Int64("restarts", delta.Restarts),
+		obs.Int64("learnt", delta.Learnt),
 		obs.Int64("solve_ns", delta.SolveNS),
 		obs.Int("cnf_vars", delta.MaxVar),
+		obs.Int("clauses", delta.Clauses),
 	)
 	return st, delta, timedOut
 }
 
-// publishSolve accumulates one solve's effort delta into the metrics
-// registry (a nil registry no-ops).
-func publishSolve(reg *obs.Registry, d sat.Stats) {
-	reg.Counter("sat.solves").Add(1)
-	reg.Counter("sat.conflicts").Add(d.Conflicts)
-	reg.Counter("sat.decisions").Add(d.Decisions)
-	reg.Counter("sat.propagations").Add(d.Propagations)
-	reg.Counter("sat.restarts").Add(d.Restarts)
-	reg.Counter("sat.learnt").Add(d.Learnt)
-	reg.Counter("sat.solve_ns").Add(d.SolveNS)
-	reg.Gauge("cnf.vars").SetMax(int64(d.MaxVar))
-	reg.Gauge("cnf.clauses").SetMax(int64(d.Clauses))
-}
-
 // cexBits returns the widest significant bit count across a
-// counterexample's field and state values — the "counterexample width"
-// histogram metric, observed for the verification-width tier only (wide
-// counterexamples mean verification is exercising the upper bits the
-// narrow tier never saw).
+// counterexample's field and state values — the verify span's "cex_bits",
+// set for the verification-width tier only (wide counterexamples mean
+// verification is exercising the upper bits the narrow tier never saw).
 func cexBits(cex interp.Snapshot) int {
 	w := 0
 	for _, v := range cex.Pkt {
@@ -227,6 +212,38 @@ func cexBits(cex interp.Snapshot) int {
 		w = max(w, bits.Len64(v))
 	}
 	return w
+}
+
+// holeAttrs are the cegis.sketch span's end attributes: the hole count,
+// the total hole bits (Equation 1's m) and one "hole_bits.<class>"
+// subtotal per holeClass.
+func holeAttrs(sk backend.Sketch) []obs.Attr {
+	holes, total := sk.HoleCount()
+	attrs := []obs.Attr{obs.Int("holes", holes), obs.Int("hole_bits", total)}
+	names, widths := sk.HoleInventory()
+	byClass := map[string]int{}
+	for i, name := range names {
+		byClass[holeClass(name)] += widths[i]
+	}
+	for class, b := range byClass {
+		attrs = append(attrs, obs.Int("hole_bits."+class, b))
+	}
+	return attrs
+}
+
+// holeClass is a hole's name without its coordinates: each "_"-separated
+// component loses its trailing digits, and components left empty are
+// dropped ("stateless_0_1_opcode" is "stateless_opcode", "slot_2_op" is
+// "slot_op", "imm3" is "imm").
+func holeClass(name string) string {
+	parts := strings.Split(name, "_")
+	kept := parts[:0]
+	for _, p := range parts {
+		if p = strings.TrimRight(p, "0123456789"); p != "" {
+			kept = append(kept, p)
+		}
+	}
+	return strings.Join(kept, "_")
 }
 
 // Synthesize runs CEGIS to fit prog onto the PISA grid. The grid's
@@ -314,7 +331,6 @@ type loop struct {
 	care     ast.Expr
 	member   string
 	res      *Result
-	reg      *obs.Registry
 	gated    bool
 	timeline []ExplainStep
 }
@@ -327,7 +343,7 @@ func newLoop(ctx context.Context, prog *ast.Program, be backend.Backend, size in
 	if err := checkCare(opts.Care, vars); err != nil {
 		return nil, err
 	}
-	l := &loop{prog: prog, fields: vars.Fields, states: vars.States, care: opts.Care, member: opts.Member, res: res, reg: obs.MetricsFrom(ctx), gated: gated}
+	l := &loop{prog: prog, fields: vars.Fields, states: vars.States, care: opts.Care, member: opts.Member, res: res, gated: gated}
 
 	// Capacity pre-check: a definitive "does not fit" from the backend
 	// (more fields than containers/registers) is a clean infeasible
@@ -352,7 +368,6 @@ func newLoop(ctx context.Context, prog *ast.Program, be backend.Backend, size in
 		return nil, err
 	}
 	_, res.HoleBits = l.sk.HoleCount()
-	l.sk.PublishMetrics(l.reg)
 
 	// Attach the cancellation hook before any clause is loaded: AddClause
 	// runs top-level unit propagation, so loading must respect the context
@@ -364,7 +379,9 @@ func newLoop(ctx context.Context, prog *ast.Program, be backend.Backend, size in
 		l.syn.cnf.EnableGroups()
 	}
 	l.sk.AssertDomains(l.syn.cnf)
-	span.End()
+	if span != nil { // an unobserved compile skips the hole classes' allocations
+		span.End(holeAttrs(l.sk)...)
+	}
 
 	// Figure 3: initialize X to random inputs (plus all-zeros, which pins
 	// down constant-output components cheaply). The synthesis width is
@@ -396,7 +413,6 @@ func (l *loop) release() {
 func (l *loop) run(ctx context.Context, maxIters int) (verdict, backend.Config, error) {
 	for iter := 1; iter <= maxIters; iter++ {
 		l.res.Iters = iter
-		l.reg.Counter("cegis.iterations").Add(1)
 		iterAttrs := []obs.Attr{obs.Int("iter", iter)}
 		if l.member != "" {
 			iterAttrs = append(iterAttrs, obs.String("member", l.member))
@@ -441,9 +457,6 @@ func (l *loop) iterate(ctx context.Context, iter int) (verdict, backend.Config, 
 		case vo.timedOut:
 			return timedOut, nil, nil
 		case !vo.verified:
-			if w == vw {
-				l.reg.Histogram("cegis.cex_bits").Observe(int64(cexBits(vo.cex)))
-			}
 			// The paper's outer loop: "rerun SKETCH using the
 			// counterexample as an additional concrete input".
 			l.pending = append(l.pending, test{vo.cex, w})
@@ -456,11 +469,11 @@ func (l *loop) iterate(ctx context.Context, iter int) (verdict, backend.Config, 
 // synthesize is the synthesis phase: encode the queued tests, then solve
 // for hole values.
 func (l *loop) synthesize(ctx context.Context, iter int) (sat.Status, bool, error) {
-	start := time.Now()
+	start, before := time.Now(), l.res.Tests
 	ctx, span := obs.StartSpan(ctx, "synth", obs.Int("tests", l.res.Tests+len(l.pending)))
 	for _, t := range l.pending {
 		if err := l.encode(t); err != nil {
-			span.End(obs.String("outcome", "error"))
+			span.End(obs.String("outcome", "error"), obs.Int("encoded", l.res.Tests-before))
 			return sat.Unknown, false, err
 		}
 	}
@@ -473,20 +486,25 @@ func (l *loop) synthesize(ctx context.Context, iter int) (sat.Status, bool, erro
 	}
 	st, d, timeout := solveTraced(ctx, l.syn.s, "synth", assume...)
 	l.res.SynthConflicts += d.Conflicts
-	l.account(d, l.syn.cnf.NumClauses(), l.syn.b.NumGates())
-	l.endPhase(span, iter, "synth", phaseOutcome(st == sat.Unsat, timeout), d.Conflicts, start)
+	l.account(d)
+	l.endPhase(span, iter, "synth", phaseOutcome(st == sat.Unsat, timeout), d.Conflicts, start,
+		obs.Int("encoded", l.res.Tests-before), obs.Int("gates", l.syn.b.NumGates()))
 	return st, timeout, nil
 }
 
-// verify is one verification query, at width w, in its own phase span.
+// verify is one verification query, at width w, in its own phase span. A
+// counterexample at the verification width puts its cexBits on the span.
 func (l *loop) verify(ctx context.Context, iter int, cfg backend.Config, w word.Width) verifyOutcome {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "verify")
 	vo := l.ver.verify(ctx, l.prog, l.care, cfg, l.fields, l.states, w)
 	l.res.VerifyConflicts += vo.stats.Conflicts
-	l.account(vo.stats, vo.clauses, vo.gates)
-	l.endPhase(span, iter, "verify", phaseOutcome(vo.verified, vo.timedOut), vo.stats.Conflicts, start,
-		obs.Int("width", int(w)))
+	l.account(vo.stats)
+	attrs := []obs.Attr{obs.Int("width", int(w)), obs.Int("gates", l.ver.b.NumGates())}
+	if !vo.verified && !vo.timedOut && w == l.tiers[len(l.tiers)-1] {
+		attrs = append(attrs, obs.Int("cex_bits", cexBits(vo.cex)))
+	}
+	l.endPhase(span, iter, "verify", phaseOutcome(vo.verified, vo.timedOut), vo.stats.Conflicts, start, attrs...)
 	return vo
 }
 
@@ -551,20 +569,14 @@ func (l *loop) encode(t test) error {
 	}
 	cnf.SetGroup("")
 	l.res.Tests++
-	l.reg.Counter("cegis.tests").Add(1)
 	return nil
 }
 
-// account folds one solve's effort and encoding size into the Result and
-// the registry.
-func (l *loop) account(d sat.Stats, clauses, gates int) {
-	publishSolve(l.reg, d)
-	l.reg.Gauge("circuit.gates").SetMax(int64(gates))
+// account folds one solve's effort into the Result.
+func (l *loop) account(d sat.Stats) {
 	l.res.Decisions += d.Decisions
 	l.res.Propagations += d.Propagations
 	l.res.PeakCNFVars = max(l.res.PeakCNFVars, d.MaxVar)
-	l.res.PeakCNFClauses = max(l.res.PeakCNFClauses, clauses)
-	l.res.Gates = max(l.res.Gates, gates)
 }
 
 // endPhase ends a phase span and, in a gated loop, logs the phase on the
@@ -594,10 +606,8 @@ type verifyOutcome struct {
 	verified bool
 	timedOut bool
 	// stats is the verification solver's effort (the solver is reset per
-	// query, so cumulative == delta); gates and clauses size the encoding.
-	stats   sat.Stats
-	gates   int
-	clauses int
+	// query, so cumulative == delta).
+	stats sat.Stats
 }
 
 // workspace is a circuit builder, a SAT solver and the encoder between
@@ -701,7 +711,7 @@ func (ws *workspace) verify(ctx context.Context, prog *ast.Program, care ast.Exp
 		cnf.Assert(b.NonZero(careW))
 	}
 	st, delta, timedOut := solveTraced(ctx, solver, "verify")
-	out := verifyOutcome{stats: delta, gates: b.NumGates(), clauses: cnf.NumClauses()}
+	out := verifyOutcome{stats: delta}
 	if timedOut {
 		out.timedOut = true
 		return out

@@ -4,18 +4,21 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/alu"
 	"repro/internal/ast"
 	"repro/internal/backend"
+	"repro/internal/bpf"
 	"repro/internal/circuit"
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/pisa"
 	"repro/internal/sat"
+	"repro/internal/sketch"
 	"repro/internal/word"
 )
 
@@ -625,8 +628,8 @@ else { count = count + 1; pkt.sample = 0; }
 	if reg.Gauge("cnf.vars").Value() != int64(res.PeakCNFVars) {
 		t.Fatalf("registry cnf.vars = %d, want %d", reg.Gauge("cnf.vars").Value(), res.PeakCNFVars)
 	}
-	if res.PeakCNFVars == 0 || res.PeakCNFClauses == 0 || res.Gates == 0 {
-		t.Fatalf("encoding sizes not recorded: %+v", res)
+	if res.PeakCNFVars == 0 || reg.Gauge("cnf.clauses").Value() == 0 || reg.Gauge("circuit.gates").Value() == 0 {
+		t.Fatalf("encoding sizes not recorded: %+v\n%s", res, reg)
 	}
 
 	// The span trace nests cegis.iter → synth/verify → sat.solve.
@@ -672,6 +675,72 @@ else { count = count + 1; pkt.sample = 0; }
 	if last.start.Name != "verify" || last.attrs["width"] != int64(DefaultVerifyWidth) || last.attrs["outcome"] != "unsat" {
 		t.Fatalf("last phase %s width=%v outcome=%v, want verify width=%d outcome=unsat",
 			last.start.Name, last.attrs["width"], last.attrs["outcome"], DefaultVerifyWidth)
+	}
+}
+
+// TestSketchMetrics: the cegis.sketch span's end folds into the hole
+// gauges on both targets, with a registry and no tracer. sketch.holes and
+// sketch.hole_bits equal the sketch's HoleCount, and the
+// sketch.hole_bits.<class> gauges partition the total.
+func TestSketchMetrics(t *testing.T) {
+	for _, tc := range []struct {
+		be    backend.Backend
+		size  int
+		class string // one class the target must report
+	}{
+		{sketch.PISABackend{Grid: grid(1, 2, alu.IfElseRaw, 4)}, 1, "hole_bits.stateless_opcode"},
+		{bpf.Backend{}, 2, "hole_bits.slot_op"},
+	} {
+		t.Run(tc.be.Target(), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			ctx := obs.ContextWithMetrics(context.Background(), reg)
+			prog := parser.MustParse("t", "pkt.out = pkt.a & 7;")
+			res, err := SynthesizeOn(ctx, prog, tc.be, tc.size, Options{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sk, err := tc.be.NewSketch(circuit.New(), tc.size, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holes, bits := sk.HoleCount()
+			if got := reg.Gauge("sketch.holes").Value(); got != int64(holes) {
+				t.Errorf("sketch.holes = %d, HoleCount says %d", got, holes)
+			}
+			if got := reg.Gauge("sketch.hole_bits").Value(); got != int64(bits) || bits != res.HoleBits {
+				t.Errorf("sketch.hole_bits = %d, HoleCount says %d, Result %d", got, bits, res.HoleBits)
+			}
+			var classTotal int64
+			for name, v := range reg.Snapshot() {
+				if strings.HasPrefix(name, "sketch.hole_bits.") {
+					classTotal += v.(int64)
+				}
+			}
+			if classTotal != int64(bits) {
+				t.Errorf("class subtotals sum to %d, want %d:\n%s", classTotal, bits, reg)
+			}
+			if reg.Gauge("sketch."+tc.class).Value() == 0 {
+				t.Errorf("no sketch.%s gauge:\n%s", tc.class, reg)
+			}
+		})
+	}
+}
+
+func TestHoleClass(t *testing.T) {
+	cases := map[string]string{
+		"stateless_0_1_opcode": "stateless_opcode",
+		"stateful_2_0_imux1":   "stateful_imux",
+		"omux_0_0":             "omux",
+		"salu_active_1_1":      "salu_active",
+		"field_alloc_0_3":      "field_alloc",
+		"slot_12_cell":         "slot_cell",
+		"imm3":                 "imm",
+		"oddball":              "oddball",
+	}
+	for in, want := range cases {
+		if got := holeClass(in); got != want {
+			t.Errorf("holeClass(%q) = %q, want %q", in, got, want)
+		}
 	}
 }
 

@@ -417,7 +417,6 @@ func attempt(ctx context.Context, prog *ast.Program, opts Options, stages int, c
 	if err != nil {
 		return DepthResult{}, nil, err
 	}
-	obs.MetricsFrom(ctx).Counter("core.attempts").Add(1)
 	attrs := []obs.Attr{obs.Int("stages", stages)}
 	if copts.Member != "" {
 		attrs = append(attrs, obs.String("member", copts.Member))

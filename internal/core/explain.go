@@ -116,13 +116,12 @@ func maybeExplain(ctx context.Context, prog *ast.Program, opts Options, rep *Rep
 	}
 	size := opts.maxStages()
 	ectx, espan := obs.StartSpan(ctx, "explain", obs.Int("size", size))
-	reg := obs.MetricsFrom(ectx)
-	reg.Counter("explain.runs").Add(1)
 
-	exp := &Explanation{Size: size}
+	// The span's end folds outcome into the explain.* counters.
+	exp, outcome := &Explanation{Size: size}, "error"
 	rep.Explanation = exp
 	defer func() {
-		espan.End(obs.String("dimension", exp.Dimension),
+		espan.End(obs.String("outcome", outcome), obs.String("dimension", exp.Dimension),
 			obs.Int("blamed_groups", len(exp.BlamedGroups)),
 			obs.Bool("minimal", exp.Minimal))
 	}()
@@ -134,7 +133,6 @@ func maybeExplain(ctx context.Context, prog *ast.Program, opts Options, rep *Rep
 		Seed:           opts.Seed,
 	})
 	if err != nil {
-		reg.Counter("explain.errors").Add(1)
 		exp.Incomplete = "error: " + err.Error()
 		exp.Dimension = capacityDimension(prog, opts)
 		return
@@ -149,23 +147,22 @@ func maybeExplain(ctx context.Context, prog *ast.Program, opts Options, rep *Rep
 
 	switch {
 	case xres.CapacityExceeded:
+		outcome = "capacity"
 		exp.Dimension = capacityDimension(prog, opts)
 	case xres.TimedOut:
-		reg.Counter("explain.timeouts").Add(1)
+		outcome = "timeout"
 		exp.Incomplete = "timeout"
 		exp.Dimension = inferDimension(opts, xres.Core)
 	case xres.Feasible:
 		// The gated re-run found a solution the original search missed
 		// (possible only when the original failure was iteration-bounded).
+		outcome = "feasible"
 		exp.Incomplete = "gated re-run found the sketch feasible"
 		exp.Dimension = inferDimension(opts, nil)
 	default:
+		outcome = "infeasible"
 		exp.Dimension = inferDimension(opts, xres.Core)
-		if xres.Minimal {
-			reg.Counter("explain.minimal_cores").Add(1)
-		}
 	}
-	reg.Counter("explain.blamed_groups").Add(int64(len(exp.BlamedGroups)))
 }
 
 // inferDimension names the binding resource from a minimal core's group

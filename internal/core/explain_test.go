@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/alu"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/programs"
 )
@@ -58,6 +59,51 @@ func TestExplainDepthBelowFloorPISA(t *testing.T) {
 				t.Fatalf("rendered report should name the binding resource:\n%s", exp.Render())
 			}
 		})
+	}
+}
+
+// TestExplainMetrics: the forensics case CI runs (marple_reorder, pred_raw,
+// width 2, one stage) folds its explain span into the explain.* counters,
+// and the forensics rerun stays unmetered: the registry's solver effort is
+// the search's alone.
+func TestExplainMetrics(t *testing.T) {
+	b, err := programs.ByName("marple_reorder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := benchOptions(b)
+	opts.MaxStages = 1
+	opts.Explain = true
+	reg := obs.NewRegistry()
+	ctx, cancel := context.WithTimeout(obs.ContextWithMetrics(context.Background(), reg), 4*time.Minute)
+	defer cancel()
+	rep, err := Compile(ctx, b.Parse(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := rep.Explanation
+	if rep.Feasible || rep.TimedOut || exp == nil || !exp.Minimal || exp.Iters == 0 {
+		t.Fatalf("want an infeasible compile with a minimal explanation, got %+v / %+v", rep, exp)
+	}
+	count := func(name string) int64 { return reg.Counter(name).Value() }
+	if got := count("explain.runs"); got != 1 {
+		t.Errorf("explain.runs = %d, want 1", got)
+	}
+	if got := count("explain.minimal_cores"); got != 1 {
+		t.Errorf("explain.minimal_cores = %d, want 1", got)
+	}
+	if got := count("explain.blamed_groups"); got != int64(len(exp.BlamedGroups)) {
+		t.Errorf("explain.blamed_groups = %d, explanation blames %v", got, exp.BlamedGroups)
+	}
+	if got := count("explain.errors") + count("explain.timeouts"); got != 0 {
+		t.Errorf("explain.errors + explain.timeouts = %d, want 0", got)
+	}
+	eff := rep.Effort()
+	if got := count("sat.conflicts"); got != eff.Conflicts {
+		t.Errorf("sat.conflicts = %d, report %d: the forensics rerun was metered", got, eff.Conflicts)
+	}
+	if got := count("cegis.iterations"); got != int64(eff.Iters) {
+		t.Errorf("cegis.iterations = %d, report %d: the forensics rerun was metered", got, eff.Iters)
 	}
 }
 

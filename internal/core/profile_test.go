@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,33 +13,70 @@ import (
 	"repro/internal/solcache"
 )
 
-// compileProfiled runs one compile under a fresh tracer and returns the
-// report plus the rolled-up profile.
-func compileProfiled(t *testing.T, opts Options) (*Report, obs.CompileProfile) {
+// compileProfiled runs one compile of sampling under a fresh registry
+// and, when traced, a fresh tracer, and returns the report, the registry
+// and the rolled-up profile (zero when untraced).
+func compileProfiled(t *testing.T, opts Options, traced bool) (*Report, *obs.Registry, obs.CompileProfile) {
 	t.Helper()
 	b, err := programs.ByName("sampling")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTracer()
+	tr, reg := obs.NewTracer(), obs.NewRegistry()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	ctx = obs.ContextWithTracer(ctx, tr)
-	rep, err := Compile(ctx, b.Parse(), opts)
-	if err != nil {
-		t.Fatal(err)
+	ctx = obs.ContextWithMetrics(ctx, reg)
+	if !traced {
+		return compileOn(t, ctx, b, opts), reg, obs.CompileProfile{}
 	}
+	rep := compileOn(t, obs.ContextWithTracer(ctx, tr), b, opts)
 	p, err := tr.Profile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, p
+	return rep, reg, p
 }
 
-// The profile's solver-effort counters must agree with the report's own
-// bookkeeping in both execution modes — they are rolled up from the span
-// tree by an independent path, so agreement pins the attribution. With
-// seed hedging both sides count every slot's work.
+func compileOn(t *testing.T, ctx context.Context, b programs.Benchmark, opts Options) *Report {
+	t.Helper()
+	rep, err := Compile(ctx, b.Parse(), opts)
+	if err != nil {
+		t.Error(err)
+		return &Report{}
+	}
+	return rep
+}
+
+// effortCounters are the solver-effort metrics every view must agree on,
+// read from a registry.
+func effortCounters(reg *obs.Registry) [5]int64 {
+	var out [5]int64
+	for i, name := range []string{"sat.conflicts", "sat.decisions", "sat.propagations", "cegis.iterations", "core.attempts"} {
+		out[i] = reg.Counter(name).Value()
+	}
+	return out
+}
+
+// reportCounters are the same metrics from the reports' own bookkeeping,
+// summed over reps.
+func reportCounters(reps ...*Report) [5]int64 {
+	var out [5]int64
+	for _, rep := range reps {
+		eff := rep.Effort()
+		out[0] += eff.Conflicts
+		out[1] += eff.Decisions
+		out[2] += eff.Propagations
+		out[3] += int64(eff.Iters)
+		out[4] += int64(len(rep.Depths))
+	}
+	return out
+}
+
+// The registry, the profile and the report must agree on solver effort in
+// both execution modes. The registry and the profile fold the same span
+// ends; the report keeps its own books from cegis.Result. With seed
+// hedging (slots started at once, so both run) every view counts every
+// slot's work.
 func TestProfileRollupMatchesReportEffort(t *testing.T) {
 	b, _ := programs.ByName("sampling")
 	seq := benchOptions(b)
@@ -54,25 +92,28 @@ func TestProfileRollupMatchesReportEffort(t *testing.T) {
 		{"hedged", hedged},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, p := compileProfiled(t, tc.opts)
+			if tc.opts.SeedFanout > 1 {
+				setStagger(t, 0)
+			}
+			rep, reg, p := compileProfiled(t, tc.opts, true)
 			if !rep.Feasible || !p.Feasible {
 				t.Fatalf("sampling must be feasible (report=%v profile=%v)", rep.Feasible, p.Feasible)
 			}
+			want := reportCounters(rep)
+			if got := effortCounters(reg); got != want {
+				t.Errorf("registry effort %v, report %v", got, want)
+			}
+			if got := [5]int64{p.Conflicts, p.Decisions, p.Propagations, int64(p.Iters), int64(p.Attempts)}; got != want {
+				t.Errorf("profile effort %v, report %v", got, want)
+			}
 			eff := rep.Effort()
-			if p.Iters != eff.Iters {
-				t.Errorf("iters: profile %d, report %d", p.Iters, eff.Iters)
+			if p.PeakCNFVars != eff.PeakCNFVars || reg.Gauge("cnf.vars").Value() != int64(eff.PeakCNFVars) {
+				t.Errorf("peak CNF vars: profile %d, registry %d, report %d",
+					p.PeakCNFVars, reg.Gauge("cnf.vars").Value(), eff.PeakCNFVars)
 			}
-			if p.Conflicts != eff.Conflicts {
-				t.Errorf("conflicts: profile %d, report %d", p.Conflicts, eff.Conflicts)
-			}
-			if p.Decisions != eff.Decisions {
-				t.Errorf("decisions: profile %d, report %d", p.Decisions, eff.Decisions)
-			}
-			if p.Propagations != eff.Propagations {
-				t.Errorf("propagations: profile %d, report %d", p.Propagations, eff.Propagations)
-			}
-			if p.PeakCNFVars != eff.PeakCNFVars {
-				t.Errorf("peak CNF vars: profile %d, report %d", p.PeakCNFVars, eff.PeakCNFVars)
+			if p.Solves != int(reg.Counter("sat.solves").Value()) || p.Restarts != reg.Counter("sat.restarts").Value() {
+				t.Errorf("solves/restarts: profile %d/%d, registry %d/%d", p.Solves, p.Restarts,
+					reg.Counter("sat.solves").Value(), reg.Counter("sat.restarts").Value())
 			}
 			if p.TotalMS <= 0 || p.SolveMS <= 0 || p.Solves == 0 {
 				t.Errorf("degenerate wall-clock attribution: %+v", p)
@@ -95,6 +136,41 @@ func TestProfileRollupMatchesReportEffort(t *testing.T) {
 			}
 		})
 	}
+
+	// A registry needs no tracer (chipmunk -pprof, evalgen -stats).
+	t.Run("registry-only", func(t *testing.T) {
+		rep, reg, _ := compileProfiled(t, seq, false)
+		if got, want := effortCounters(reg), reportCounters(rep); got != want || want[0] == 0 {
+			t.Errorf("untraced registry effort %v, report %v", got, want)
+		}
+	})
+
+	// Two concurrent compiles sharing one registry fold each span end
+	// exactly once: the registry holds the sum of both reports.
+	t.Run("shared-registry", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		ctx, cancel := context.WithTimeout(obs.ContextWithMetrics(context.Background(), reg), 2*time.Minute)
+		defer cancel()
+		reps := make([]*Report, 2)
+		var wg sync.WaitGroup
+		for i := range reps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				opts := seq
+				opts.Seed += int64(i)
+				ctx := ctx
+				if i == 0 {
+					ctx = obs.ContextWithTracer(ctx, obs.NewTracer())
+				}
+				reps[i] = compileOn(t, ctx, b, opts)
+			}()
+		}
+		wg.Wait()
+		if got, want := effortCounters(reg), reportCounters(reps...); got != want {
+			t.Errorf("shared registry effort %v, sum of reports %v", got, want)
+		}
+	})
 }
 
 // Options.History must capture one profile record per compile — installing

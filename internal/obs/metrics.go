@@ -75,6 +75,59 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// fold applies to r the metric updates implied by the end of a span named
+// name with end attributes attrs (an absent attribute reads as 0). It is
+// the one definition of the compile-side metrics: Span.End folds live into
+// the registry its context carries, and RollupCompile folds a trace for the
+// profile's effort counters, so the two agree by construction.
+func (r *Registry) fold(name string, attrs map[string]any) {
+	add := func(metric, attr string) { r.Counter(metric).Add(attrI64(attrs, attr)) }
+	peak := func(metric, attr string) { r.Gauge(metric).SetMax(attrI64(attrs, attr)) }
+	switch name {
+	case "sat.solve":
+		r.Counter("sat.solves").Add(1)
+		add("sat.conflicts", "conflicts")
+		add("sat.decisions", "decisions")
+		add("sat.propagations", "propagations")
+		add("sat.restarts", "restarts")
+		add("sat.learnt", "learnt")
+		add("sat.solve_ns", "solve_ns")
+		peak("cnf.vars", "cnf_vars")
+		peak("cnf.clauses", "clauses")
+	case "synth":
+		peak("circuit.gates", "gates")
+		add("cegis.tests", "encoded")
+	case "verify":
+		peak("circuit.gates", "gates")
+		if _, ok := attrs["cex_bits"]; ok {
+			r.Histogram("cegis.cex_bits").Observe(attrI64(attrs, "cex_bits"))
+		}
+	case "cegis.iter":
+		r.Counter("cegis.iterations").Add(1)
+	case "attempt":
+		r.Counter("core.attempts").Add(1)
+	case "cegis.sketch":
+		for k := range attrs {
+			if k == "holes" || k == "hole_bits" || strings.HasPrefix(k, "hole_bits.") {
+				r.Gauge("sketch." + k).Set(attrI64(attrs, k))
+			}
+		}
+	case "explain":
+		r.Counter("explain.runs").Add(1)
+		add("explain.blamed_groups", "blamed_groups")
+		switch attrStr(attrs, "outcome") {
+		case "error":
+			r.Counter("explain.errors").Add(1)
+		case "timeout":
+			r.Counter("explain.timeouts").Add(1)
+		case "infeasible":
+			if attrBool(attrs, "minimal") {
+				r.Counter("explain.minimal_cores").Add(1)
+			}
+		}
+	}
+}
+
 // Counter is a monotonically increasing 64-bit metric.
 type Counter struct{ v atomic.Int64 }
 

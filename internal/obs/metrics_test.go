@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -98,5 +99,49 @@ func TestRegistryString(t *testing.T) {
 	}
 	if !strings.Contains(s, "count=1") {
 		t.Fatalf("histogram line missing: %s", s)
+	}
+}
+
+// A span on a context with a registry and no tracer exists and folds its
+// end into the registry: counters add, max-gauges keep the peak,
+// last-value gauges the latest end, the histogram observes only a present
+// cex_bits, a span the fold does not name (compile) updates nothing, and
+// the explain outcome selects which explain.* counter moves.
+func TestSpanEndFoldsIntoRegistry(t *testing.T) {
+	r := NewRegistry()
+	ctx := ContextWithMetrics(context.Background(), r)
+	end := func(name string, attrs ...Attr) {
+		_, s := StartSpan(ctx, name)
+		if s == nil {
+			t.Fatalf("%s: no span on a context with a registry", name)
+		}
+		s.End(attrs...)
+	}
+	end("sat.solve", Int64("conflicts", 5), Int("cnf_vars", 40), Int("clauses", 90))
+	end("sat.solve", Int64("conflicts", 2), Int("cnf_vars", 10))
+	end("cegis.sketch", Int("holes", 3), Int("hole_bits", 12), Int("hole_bits.slot_op", 12))
+	end("cegis.sketch", Int("holes", 2), Int("hole_bits", 7), Int("hole_bits.slot_op", 7))
+	end("verify", Int("gates", 8))
+	end("verify", Int("gates", 6), Int("cex_bits", 4))
+	end("explain", String("outcome", "infeasible"), Bool("minimal", true), Int("blamed_groups", 2))
+	end("explain", String("outcome", "timeout"), Bool("minimal", true), Int("blamed_groups", 1))
+	end("explain", String("outcome", "error"))
+	end("compile", Int64("conflicts", 99))
+
+	want := map[string]any{
+		"sat.solves": int64(2), "sat.conflicts": int64(7), "cnf.vars": int64(40), "cnf.clauses": int64(90),
+		"sketch.holes": int64(2), "sketch.hole_bits": int64(7), "sketch.hole_bits.slot_op": int64(7),
+		"circuit.gates": int64(8),
+		"explain.runs":  int64(3), "explain.minimal_cores": int64(1), "explain.timeouts": int64(1),
+		"explain.errors": int64(1), "explain.blamed_groups": int64(3),
+	}
+	snap := r.Snapshot()
+	for name, v := range want {
+		if snap[name] != v {
+			t.Errorf("%s = %v, want %v", name, snap[name], v)
+		}
+	}
+	if h := r.Histogram("cegis.cex_bits").Snapshot(); h.Count != 1 || h.Sum != 4 {
+		t.Errorf("cegis.cex_bits = %+v, want one observation of 4", h)
 	}
 }

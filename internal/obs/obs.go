@@ -14,7 +14,8 @@
 //   - a metrics Registry of named counters, gauges and histograms (SAT
 //     conflicts, decisions, propagations, CNF clause/variable counts,
 //     circuit gate counts, CEGIS iterations, counterexample widths, sketch
-//     hole inventories);
+//     hole inventories), folded from span ends by Registry.fold. A
+//     registry needs no tracer;
 //   - point-in-time notes (Note) under the current span, for milestones
 //     inside one long span such as SAT progress during a multi-minute
 //     solve;
@@ -22,9 +23,10 @@
 //     and an expvar-style snapshot map (see export.go).
 //
 // Everything is nil-safe: a nil *Tracer, *Registry, *Span, *Counter,
-// *Gauge or *Histogram is a valid no-op sink, so instrumented code pays
-// (almost) nothing when observability is not requested — call sites never
-// need nil checks.
+// *Gauge or *Histogram is a valid no-op sink, and StartSpan returns a nil
+// span when the context carries neither a tracer nor a registry, so
+// instrumented code pays (almost) nothing when observability is not
+// requested — call sites never need nil checks.
 package obs
 
 import (
@@ -119,11 +121,13 @@ func (s *Subscription) Close() {
 }
 
 // Span is one timed region of work. A nil *Span is a valid no-op, which is
-// what StartSpan returns when no tracer is installed in the context.
+// what StartSpan returns when the context carries neither a tracer nor a
+// registry.
 type Span struct {
-	t      *Tracer
-	id     int64
-	parent int64
+	t    *Tracer
+	reg  *Registry
+	name string
+	id   int64
 
 	mu       sync.Mutex
 	ended    bool
@@ -157,18 +161,13 @@ func (t *Tracer) point(typ string, parent int64, name string, attrs []Attr) int6
 	return id
 }
 
-// start begins a span under the given parent id (0 = root).
-func (t *Tracer) start(parent int64, name string, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
-	return &Span{t: t, id: t.point(RecordStart, parent, name, attrs), parent: parent}
-}
-
 // StartRoot begins a span with no parent, for callers without a context
 // chain (tests, tools).
 func (t *Tracer) StartRoot(name string, attrs ...Attr) *Span {
-	return t.start(0, name, attrs...)
+	if t == nil {
+		return nil
+	}
+	return &Span{t: t, name: name, id: t.point(RecordStart, 0, name, attrs)}
 }
 
 // SetAttr attaches attributes to the span; they are emitted with the end
@@ -182,8 +181,9 @@ func (s *Span) SetAttr(attrs ...Attr) {
 	s.mu.Unlock()
 }
 
-// End stops the span, emitting its end record with any attributes set via
-// SetAttr plus the ones given here. Ending twice is a no-op.
+// End stops the span with any attributes set via SetAttr plus the ones
+// given here: it folds them into the span's registry, then emits the end
+// record on its tracer. Ending twice is a no-op.
 func (s *Span) End(attrs ...Attr) {
 	if s == nil {
 		return
@@ -194,14 +194,19 @@ func (s *Span) End(attrs ...Attr) {
 		return
 	}
 	s.ended = true
-	all := append(s.endAttrs, attrs...)
+	all := attrMap(append(s.endAttrs, attrs...))
 	s.mu.Unlock()
-	s.t.emit(Record{
-		Type:   RecordEnd,
-		ID:     s.id,
-		TimeNS: time.Now().UnixNano(),
-		Attrs:  attrMap(all),
-	})
+	if s.reg != nil {
+		s.reg.fold(s.name, all)
+	}
+	if s.t != nil {
+		s.t.emit(Record{
+			Type:   RecordEnd,
+			ID:     s.id,
+			TimeNS: time.Now().UnixNano(),
+			Attrs:  all,
+		})
+	}
 }
 
 func attrMap(attrs []Attr) map[string]any {
@@ -256,14 +261,18 @@ func SpanFrom(ctx context.Context) *Span {
 }
 
 // StartSpan begins a span named name as a child of the context's current
-// span, on the context's tracer. When no tracer is installed it returns
-// (ctx, nil) — the nil span no-ops, costing nothing.
+// span, on the context's tracer, folding its end into the context's
+// registry. With neither installed it returns (ctx, nil) — the nil span
+// no-ops, costing nothing.
 func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	t := TracerFrom(ctx)
-	if t == nil {
+	t, reg := TracerFrom(ctx), MetricsFrom(ctx)
+	if t == nil && reg == nil {
 		return ctx, nil
 	}
-	s := t.start(currentID(ctx), name, attrs...)
+	s := &Span{t: t, reg: reg, name: name}
+	if t != nil {
+		s.id = t.point(RecordStart, currentID(ctx), name, attrs)
+	}
 	return context.WithValue(ctx, spanKey, s), s
 }
 

@@ -60,7 +60,9 @@ type CompileProfile struct {
 	ExtractMS     float64 `json:"extract_ms"`
 	CrossCheckMS  float64 `json:"crosscheck_ms"`
 
-	// Solver effort (sums over every sat.solve span).
+	// Solver effort, folded from the compile's span ends by the rule that
+	// feeds a live Registry (sat.solves, sat.conflicts, …, cnf.vars,
+	// cegis.iterations, core.attempts).
 	Attempts     int   `json:"attempts"`
 	Iters        int   `json:"iters"`
 	Solves       int   `json:"solves"`
@@ -115,13 +117,14 @@ func (p CompileProfile) Samples() map[string]float64 {
 	}
 }
 
-// profNode is one span while rolling up a record stream.
+// profNode is one span while rolling up a record stream, with its start
+// and end attributes.
 type profNode struct {
-	name    string
-	parent  int64
-	startNS int64
-	endNS   int64
-	attrs   map[string]any
+	name       string
+	parent     int64
+	startNS    int64
+	endNS      int64
+	start, end map[string]any
 }
 
 func (n *profNode) dur() time.Duration {
@@ -173,20 +176,13 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 	for _, rec := range recs {
 		switch rec.Type {
 		case RecordStart:
-			n := &profNode{name: rec.Name, parent: rec.Parent, startNS: rec.TimeNS, endNS: -1, attrs: map[string]any{}}
-			for k, v := range rec.Attrs {
-				n.attrs[k] = v
-			}
-			nodes[rec.ID] = n
+			nodes[rec.ID] = &profNode{name: rec.Name, parent: rec.Parent, startNS: rec.TimeNS, endNS: -1, start: rec.Attrs}
 		case RecordEnd:
 			n := nodes[rec.ID]
 			if n == nil {
 				continue
 			}
-			n.endNS = rec.TimeNS
-			for k, v := range rec.Attrs {
-				n.attrs[k] = v
-			}
+			n.endNS, n.end = rec.TimeNS, rec.Attrs
 			if n.name == "compile" {
 				compileID = rec.ID
 			}
@@ -230,31 +226,30 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 	root := nodes[compileID]
 	p := CompileProfile{
 		Version:         ProfileVersion,
-		Program:         attrStr(root.attrs, "program"),
-		Feasible:        attrBool(root.attrs, "feasible"),
-		TimedOut:        attrBool(root.attrs, "timedout"),
-		Cached:          attrBool(root.attrs, "cached"),
+		Program:         attrStr(root.start, "program"),
+		Feasible:        attrBool(root.end, "feasible"),
+		TimedOut:        attrBool(root.end, "timedout"),
+		Cached:          attrBool(root.end, "cached"),
 		TotalMS:         durMS(root.dur()),
-		Winner:          attrStr(root.attrs, "winner"),
-		WastedConflicts: attrI64(root.attrs, "wasted_conflicts"),
-		WastedMS:        attrF64(root.attrs, "wasted_ms"),
+		Winner:          attrStr(root.end, "winner"),
+		WastedConflicts: attrI64(root.end, "wasted_conflicts"),
+		WastedMS:        attrF64(root.end, "wasted_ms"),
 	}
 
+	// The effort counters come from the same fold Span.End applies to a
+	// live registry.
+	eff := NewRegistry()
 	for id, n := range nodes {
 		if n.endNS < 0 || !inCompile(id) {
 			continue
 		}
+		eff.fold(n.name, n.end)
 		switch n.name {
 		case "synth":
 			p.SynthMS += durMS(n.dur())
 		case "verify":
 			p.VerifyMS += durMS(n.dur())
-		case "cegis.iter":
-			p.Iters++
-		case "attempt":
-			p.Attempts++
 		case "sat.solve":
-			p.Solves++
 			ms := durMS(n.dur())
 			p.SolveMS += ms
 			switch phaseOf(id) {
@@ -262,13 +257,6 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 				p.SolveSynthMS += ms
 			case "verify":
 				p.SolveVerifyMS += ms
-			}
-			p.Conflicts += attrI64(n.attrs, "conflicts")
-			p.Decisions += attrI64(n.attrs, "decisions")
-			p.Propagations += attrI64(n.attrs, "propagations")
-			p.Restarts += attrI64(n.attrs, "restarts")
-			if v := int(attrI64(n.attrs, "cnf_vars")); v > p.PeakCNFVars {
-				p.PeakCNFVars = v
 			}
 		case "solcache.lookup":
 			p.CacheLookupMS += durMS(n.dur())
@@ -280,6 +268,15 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 			p.CrossCheckMS += durMS(n.dur())
 		}
 	}
+	count := func(metric string) int64 { return eff.Counter(metric).Value() }
+	p.Attempts = int(count("core.attempts"))
+	p.Iters = int(count("cegis.iterations"))
+	p.Solves = int(count("sat.solves"))
+	p.Conflicts = count("sat.conflicts")
+	p.Decisions = count("sat.decisions")
+	p.Propagations = count("sat.propagations")
+	p.Restarts = count("sat.restarts")
+	p.PeakCNFVars = int(eff.Gauge("cnf.vars").Value())
 
 	if enc := p.SynthMS + p.VerifyMS - p.SolveMS; enc > 0 {
 		p.EncodeMS = enc

@@ -22,12 +22,10 @@ package sketch
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/alu"
 	"repro/internal/arith"
 	"repro/internal/circuit"
-	"repro/internal/obs"
 	"repro/internal/pisa"
 	"repro/internal/word"
 )
@@ -111,39 +109,6 @@ func (s *Sketch) HoleInventory() (names []string, bits []int) {
 		bits[i] = s.holeBits[n]
 	}
 	return names, bits
-}
-
-// PublishMetrics records the sketch's hole inventory into the registry:
-// the total hole count and search-space bits (Equation 1's m), plus
-// per-hole-class bit subtotals keyed by the hole name's leading component
-// (e.g. "sketch.hole_bits.stateless"). A nil registry is a no-op.
-func (s *Sketch) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	holes, bits := s.HoleCount()
-	reg.Gauge("sketch.holes").Set(int64(holes))
-	reg.Gauge("sketch.hole_bits").Set(int64(bits))
-	byClass := map[string]int64{}
-	for name, b := range s.holeBits {
-		byClass[holeClass(name)] += int64(b)
-	}
-	for class, b := range byClass {
-		reg.Gauge("sketch.hole_bits." + class).Set(b)
-	}
-}
-
-// holeClass reduces a hole name like "stateless_0_1_opcode" to its leading
-// non-numeric components ("stateless"), grouping holes across grid
-// coordinates.
-func holeClass(name string) string {
-	parts := strings.Split(name, "_")
-	for i, p := range parts {
-		if p != "" && p[0] >= '0' && p[0] <= '9' {
-			return strings.Join(parts[:i], "_")
-		}
-	}
-	return name
 }
 
 // MinWidth is the narrowest datapath width at which the sketch may be

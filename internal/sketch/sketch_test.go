@@ -1,12 +1,10 @@
 package sketch
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/alu"
 	"repro/internal/circuit"
-	"repro/internal/obs"
 	"repro/internal/pisa"
 	"repro/internal/sat"
 	"repro/internal/word"
@@ -189,7 +187,7 @@ func TestInstantiatePanicsOnArityMismatch(t *testing.T) {
 	s.Instantiate(4, []circuit.Word{b.ConstWord(0, 4)}, nil)
 }
 
-func TestHoleInventoryAndMetrics(t *testing.T) {
+func TestHoleInventory(t *testing.T) {
 	b := circuit.New()
 	g := pisa.GridSpec{Stages: 2, Width: 2, WordWidth: 4,
 		StatefulALU: alu.Stateful{Kind: alu.Counter}}
@@ -209,42 +207,5 @@ func TestHoleInventoryAndMetrics(t *testing.T) {
 	if len(names) != wantHoles || total != wantBits {
 		t.Fatalf("inventory sums (%d holes, %d bits) != HoleCount (%d, %d)",
 			len(names), total, wantHoles, wantBits)
-	}
-
-	reg := obs.NewRegistry()
-	sk.PublishMetrics(reg)
-	if got := reg.Gauge("sketch.hole_bits").Value(); got != int64(wantBits) {
-		t.Fatalf("sketch.hole_bits = %d, want %d", got, wantBits)
-	}
-	if got := reg.Gauge("sketch.holes").Value(); got != int64(wantHoles) {
-		t.Fatalf("sketch.holes = %d, want %d", got, wantHoles)
-	}
-	// Per-class subtotals partition the total.
-	var classTotal int64
-	for name, v := range reg.Snapshot() {
-		if strings.HasPrefix(name, "sketch.hole_bits.") {
-			classTotal += v.(int64)
-		}
-	}
-	if classTotal != int64(wantBits) {
-		t.Fatalf("class subtotals sum to %d, want %d", classTotal, wantBits)
-	}
-	// Publishing to a nil registry must not panic.
-	sk.PublishMetrics(nil)
-}
-
-func TestHoleClass(t *testing.T) {
-	cases := map[string]string{
-		"stateless_0_1_opcode": "stateless",
-		"stateful_2_0_imux1":   "stateful",
-		"omux_0_0":             "omux",
-		"salu_active_1_1":      "salu_active",
-		"field_alloc_0_3":      "field_alloc",
-		"oddball":              "oddball",
-	}
-	for in, want := range cases {
-		if got := holeClass(in); got != want {
-			t.Errorf("holeClass(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

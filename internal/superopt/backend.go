@@ -6,7 +6,6 @@ import (
 	"repro/internal/arith"
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/obs"
 	"repro/internal/pisa"
 	"repro/internal/word"
 )
@@ -111,16 +110,6 @@ func (s *Sketch) HoleInventory() (names []string, bits []int) {
 // MinWidth implements backend.Sketch: the opcode and selector holes must
 // not truncate; immediates are data and may.
 func (s *Sketch) MinWidth() word.Width { return s.minWidth }
-
-// PublishMetrics implements backend.Sketch.
-func (s *Sketch) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	holes, bits := s.HoleCount()
-	reg.Gauge("sketch.holes").Set(int64(holes))
-	reg.Gauge("sketch.hole_bits").Set(int64(bits))
-}
 
 // Instantiate implements backend.Sketch: every slot computes all opcodes
 // over its selected operands and muxes by the opcode hole.

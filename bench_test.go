@@ -163,7 +163,7 @@ func BenchmarkCEGIS(b *testing.B) {
 			var iters, conflicts int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := cegis.Synthesize(context.Background(), prog, grid, cegis.Options{Seed: 7})
+				res, err := cegis.SynthesizeOn(context.Background(), prog, pisa.Backend{Grid: grid}, grid.Stages, cegis.Options{Seed: 7})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -267,7 +267,7 @@ type ApproxResult = cegis.Result
 // only on inputs satisfying the care predicate (§5.2, "Approximate Program
 // Synthesis") — trading accuracy for stages and ALUs.
 func SynthesizeApproximate(ctx context.Context, prog *Program, grid GridSpec, opts ApproxOptions) (*ApproxResult, error) {
-	return cegis.Synthesize(ctx, prog, grid, opts)
+	return cegis.SynthesizeOn(ctx, prog, pisa.Backend{Grid: grid}, grid.Stages, opts)
 }
 
 // RepairOptions bounds the §5.3 repair-hint search.

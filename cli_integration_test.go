@@ -380,8 +380,9 @@ func TestCLIChipmunkTraceOutWriteFailure(t *testing.T) {
 }
 
 // TestCLIChipmunkVerbose: -v prints the compile's spans as they end,
-// through the renderer -watch uses, and hedged attempts carry their
-// member label.
+// through the renderer -watch uses, and with -seed-fanout attempts carry
+// their member label. sampling compiles inside the hedge stagger, so
+// only slot 0's attempts run; the core tests cover slots that race.
 func TestCLIChipmunkVerbose(t *testing.T) {
 	bin := buildTool(t, "chipmunk")
 	out, err := exec.Command(bin, "-v", samplingPath(t)).CombinedOutput()

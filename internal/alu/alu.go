@@ -34,7 +34,7 @@ type HoleDef struct {
 	// commutes with the ALU's arithmetic; control holes (opcodes, mux
 	// selectors, predicate and mode choices) must never be truncated —
 	// their encodings would alias and change meaning — so the synthesis
-	// width is clamped to the widest control hole (see sketch.MinWidth).
+	// width is clamped to the widest control hole (see pisa.GridSpec.MinWidth).
 	Data bool
 }
 

@@ -25,7 +25,7 @@
 // (CheckEquivalence) that re-checks a Config against the reference
 // interpreter outside the SAT stack.
 //
-// internal/sketch adapts the PISA grid onto these interfaces;
+// internal/pisa adapts the PISA grid onto these interfaces;
 // internal/bpf implements a restricted eBPF-style register machine.
 // internal/cegis and internal/core consume only the interfaces, so every
 // subsystem above the seam (cache, seed hedging, difftest, daemon) gains new
@@ -63,11 +63,10 @@ type Backend interface {
 // The CEGIS loop instantiates it once per concrete test input (synthesis
 // side) and decodes a concrete Config from each solver model.
 type Sketch interface {
-	// HoleCount returns the number of holes and their total bit count —
-	// the m of the paper's Equation 1 (search-space size).
-	HoleCount() (holes, bits int)
 	// HoleInventory returns each hole's name and bit width in
-	// deterministic (creation) order.
+	// deterministic (creation) order; the bits sum to the m of the
+	// paper's Equation 1 (search-space size). The slices are the
+	// sketch's own: callers read them and must not modify them.
 	HoleInventory() (names []string, bits []int)
 	// MinWidth is the narrowest datapath width at which the sketch may be
 	// instantiated soundly: the width of the widest control hole (control

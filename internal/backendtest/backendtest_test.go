@@ -8,7 +8,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/pisa"
 	"repro/internal/programs"
-	"repro/internal/sketch"
 	"repro/internal/superopt"
 )
 
@@ -26,7 +25,7 @@ func fixture(t *testing.T) (prog *programs.Benchmark, constBits int) {
 
 func TestPISAConformance(t *testing.T) {
 	b, constBits := fixture(t)
-	be := sketch.PISABackend{
+	be := pisa.Backend{
 		Grid: pisa.GridSpec{
 			Width:        b.Width,
 			WordWidth:    10, // placeholder; CEGIS manages widths
@@ -56,14 +55,14 @@ func TestSuperoptConformance(t *testing.T) {
 // requiring the symmetry group's presence.
 func TestPISASymmetryConformance(t *testing.T) {
 	b, constBits := fixture(t)
-	be := sketch.PISABackend{
+	be := pisa.Backend{
 		Grid: pisa.GridSpec{
 			Width:        b.Width,
 			WordWidth:    10,
 			StatelessALU: alu.Stateless{ConstBits: constBits},
 			StatefulALU:  alu.Stateful{Kind: b.StatefulALU, ConstBits: constBits},
 		},
-		Opts: sketch.Options{SymmetryBreak: true},
+		SymmetryBreak: true,
 	}
 	Run(t, be, b.Parse(), 1, 7)
 }
@@ -77,7 +76,7 @@ func TestPISAInfeasibleConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := sketch.PISABackend{
+	be := pisa.Backend{
 		Grid: pisa.GridSpec{
 			Width:        b.Width,
 			WordWidth:    10,

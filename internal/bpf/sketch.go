@@ -58,11 +58,23 @@ func (bk Backend) NewSketch(b *circuit.Builder, size, numFields, numStates int) 
 	if err != nil {
 		return nil, err
 	}
+	spec := bk.specAt(size, numFields)
 	if !fits {
-		sp := bk.specAt(size, numFields)
-		return nil, fmt.Errorf("bpf: %d packet fields exceed %d registers", numFields, sp.Regs)
+		return nil, fmt.Errorf("bpf: %d packet fields exceed %d registers", numFields, spec.Regs)
 	}
-	return NewSketch(b, bk.specAt(size, numFields), numFields, numStates), nil
+	s := &Sketch{Spec: spec, B: b, NumFields: numFields, NumStates: numStates}
+	minWidth := 1
+	s.holes = NewHoles(spec.Slots, spec.Regs, numStates, spec.ConstBits,
+		func(name string, bits int, data bool) circuit.Word {
+			s.holeNames = append(s.holeNames, name)
+			s.holeBits = append(s.holeBits, bits)
+			if !data && bits > minWidth {
+				minWidth = bits
+			}
+			return b.InputWord(name, word.Width(bits))
+		})
+	s.minWidth = word.Width(minWidth)
+	return s, nil
 }
 
 // Sketch is the symbolic register machine: one hole word per slot
@@ -81,36 +93,10 @@ type Sketch struct {
 	minWidth  word.Width
 }
 
-// NewSketch allocates the hole words for a machine of the given spec
-// (Slots and Regs resolved) and program shape.
-func NewSketch(b *circuit.Builder, spec MachineSpec, numFields, numStates int) *Sketch {
-	s := &Sketch{Spec: spec, B: b, NumFields: numFields, NumStates: numStates}
-	minWidth := 1
-	s.holes = NewHoles(spec.Slots, spec.Regs, numStates, spec.ConstBits,
-		func(name string, bits int, data bool) circuit.Word {
-			s.holeNames = append(s.holeNames, name)
-			s.holeBits = append(s.holeBits, bits)
-			if !data && bits > minWidth {
-				minWidth = bits
-			}
-			return b.InputWord(name, word.Width(bits))
-		})
-	s.minWidth = word.Width(minWidth)
-	return s
-}
-
-// HoleCount implements backend.Sketch.
-func (s *Sketch) HoleCount() (holes, bits int) {
-	for _, b := range s.holeBits {
-		bits += b
-	}
-	return len(s.holeNames), bits
-}
-
 // HoleInventory implements backend.Sketch: names and widths in creation
-// (slot-major) order.
+// (slot-major) order. The slices are the sketch's own.
 func (s *Sketch) HoleInventory() (names []string, bits []int) {
-	return append([]string(nil), s.holeNames...), append([]int(nil), s.holeBits...)
+	return s.holeNames, s.holeBits
 }
 
 // MinWidth implements backend.Sketch: the widest control hole (the
@@ -188,13 +174,8 @@ func (s *Sketch) AssertDomains(cnf *circuit.CNF) {
 }
 
 // Extract implements backend.Sketch: read every hole's value from the
-// solver model and decode the instruction stream.
+// solver model and decode the instruction stream into a *Config.
 func (s *Sketch) Extract(cnf *circuit.CNF, fields, states []string, runWidth word.Width) backend.Config {
-	return s.ExtractConfig(cnf, fields, states, runWidth)
-}
-
-// ExtractConfig is Extract with a concrete return type.
-func (s *Sketch) ExtractConfig(cnf *circuit.CNF, fields, states []string, runWidth word.Width) *Config {
 	vals := MapHoles(s.holes, cnf.WordValue)
 	sp := s.Spec
 	sp.WordWidth = runWidth

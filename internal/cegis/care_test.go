@@ -37,7 +37,7 @@ func careSynth(t *testing.T, src, care string, g pisa.GridSpec) *Result {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	res, err := Synthesize(ctx, prog, g, opts)
+	res, err := synthesizeGrid(ctx, prog, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestApproximationSavesAStage(t *testing.T) {
 
 	// The approximate configuration must be exact on every caring input...
 	const w = word.Width(10)
-	cfg := approxRes.Config
+	cfg := approxRes.TargetConfig
 	for a := uint64(0); a < 8; a++ {
 		out, _ := cfg.Exec(map[string]uint64{"a": a, "out": 0}, nil)
 		if out["out"] != a&7 {
@@ -98,7 +98,7 @@ func TestNilCareIsExact(t *testing.T) {
 	}
 	prog := parser.MustParse("t", src)
 	const w = word.Width(6)
-	cfg := *res.Config
+	cfg := *gridConfig(res)
 	cfg.Grid.WordWidth = w
 	in := interp.MustNew(w)
 	for a := uint64(0); a < w.Size(); a++ {
@@ -130,7 +130,7 @@ func TestCareOverState(t *testing.T) {
 	if !res.Feasible {
 		t.Fatal("under care s==0 the zero counter suffices")
 	}
-	_, state := res.Config.Exec(map[string]uint64{}, map[string]uint64{"s": 0})
+	_, state := res.TargetConfig.Exec(map[string]uint64{}, map[string]uint64{"s": 0})
 	if state["s"] != 0 {
 		t.Fatalf("caring trajectory violated: s=%d", state["s"])
 	}
@@ -150,7 +150,7 @@ func TestUnsatisfiableEvenApproximately(t *testing.T) {
 		// interpolate; then this test's premise is wrong and we check
 		// correctness on the care set instead.
 		for _, a := range []uint64{1, 2, 3} {
-			out, _ := res.Config.Exec(map[string]uint64{"a": a, "out": 0}, nil)
+			out, _ := res.TargetConfig.Exec(map[string]uint64{"a": a, "out": 0}, nil)
 			if out["out"] != a*a {
 				t.Fatalf("feasible result wrong on care set: a=%d out=%d", a, out["out"])
 			}
@@ -171,7 +171,7 @@ func TestCareTimeoutReported(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	prog := parser.MustParse("t", "pkt.out = pkt.a + 1;")
-	res, err := Synthesize(ctx, prog, careGrid(1, 2), Options{})
+	res, err := synthesizeGrid(ctx, prog, careGrid(1, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestCareMustNameProgramVariables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Synthesize(context.Background(), prog, careGrid(1, 1), Options{Care: care})
+		res, err := synthesizeGrid(context.Background(), prog, careGrid(1, 1), Options{Care: care})
 		if err == nil {
 			t.Errorf("care %q: want an error, got %+v", c, res)
 		}
@@ -239,7 +239,7 @@ func TestCareMustNameProgramVariables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Synthesize(context.Background(), prog, careGrid(1, 1), Options{Care: care}); err != nil {
+	if _, err := synthesizeGrid(context.Background(), prog, careGrid(1, 1), Options{Care: care}); err != nil {
 		t.Fatalf("care over the program's own variables: %v", err)
 	}
 }

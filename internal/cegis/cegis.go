@@ -1,5 +1,7 @@
 // Package cegis implements counterexample-guided inductive synthesis — the
-// algorithm of the paper's Figure 3 — over the sketch and SAT substrates.
+// algorithm of the paper's Figure 3 — over the backend seam and the SAT
+// substrate. It names no target: the machine model is a backend.Backend
+// argument.
 //
 // The synthesis problem (Equation 1) asks for hole values c such that the
 // pipeline P equals the specification S on all inputs x:
@@ -46,9 +48,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/interp"
 	"repro/internal/obs"
-	"repro/internal/pisa"
 	"repro/internal/sat"
-	"repro/internal/sketch"
 	"repro/internal/word"
 )
 
@@ -73,9 +73,6 @@ type Options struct {
 	// VerifyWidth is the verification width (the paper's Z3 stage runs at
 	// 10-bit integers). 0 means DefaultVerifyWidth.
 	VerifyWidth word.Width
-	// IndicatorAlloc selects the indicator-variable field allocation
-	// (Figure 4 ablation) instead of canonical allocation.
-	IndicatorAlloc bool
 	// InitialTests is the number of random test inputs seeded before the
 	// first synthesis call (Figure 3's "initialize X to random inputs").
 	// 0 means 2.
@@ -137,12 +134,9 @@ type Result struct {
 	Feasible bool
 	// TimedOut is true when the context expired before an answer.
 	TimedOut bool
-	// TargetConfig is the synthesized configuration when Feasible.
+	// TargetConfig is the synthesized configuration when Feasible; its
+	// concrete type is the backend's (*pisa.Config, *bpf.Config, ...).
 	TargetConfig backend.Config
-	// Config is TargetConfig's concrete type for the PISA target, kept so
-	// existing callers (and persisted cache entries) keep their static
-	// typing; nil for other targets.
-	Config *pisa.Config
 	// Iters is the number of CEGIS iterations executed.
 	Iters int
 	// Tests is the final size of the concrete test set.
@@ -218,17 +212,26 @@ func cexBits(cex interp.Snapshot) int {
 // the total hole bits (Equation 1's m) and one "hole_bits.<class>"
 // subtotal per holeClass.
 func holeAttrs(sk backend.Sketch) []obs.Attr {
-	holes, total := sk.HoleCount()
-	attrs := []obs.Attr{obs.Int("holes", holes), obs.Int("hole_bits", total)}
 	names, widths := sk.HoleInventory()
 	byClass := map[string]int{}
 	for i, name := range names {
 		byClass[holeClass(name)] += widths[i]
 	}
+	attrs := []obs.Attr{obs.Int("holes", len(names)), obs.Int("hole_bits", holeBits(sk))}
 	for class, b := range byClass {
 		attrs = append(attrs, obs.Int("hole_bits."+class, b))
 	}
 	return attrs
+}
+
+// holeBits is the sketch's total hole bits: the m of Equation 1.
+func holeBits(sk backend.Sketch) int {
+	_, widths := sk.HoleInventory()
+	total := 0
+	for _, w := range widths {
+		total += w
+	}
+	return total
 }
 
 // holeClass is a hole's name without its coordinates: each "_"-separated
@@ -246,22 +249,15 @@ func holeClass(name string) string {
 	return strings.Join(kept, "_")
 }
 
-// Synthesize runs CEGIS to fit prog onto the PISA grid. The grid's
-// WordWidth is ignored (widths come from Options); the returned
-// configuration records the verification width as its run width, since
-// that is the widest width at which it is proven correct.
-func Synthesize(ctx context.Context, prog *ast.Program, grid pisa.GridSpec, opts Options) (*Result, error) {
-	be := sketch.PISABackend{Grid: grid, Opts: sketch.Options{IndicatorAlloc: opts.IndicatorAlloc}}
-	return SynthesizeOn(ctx, prog, be, grid.Stages, opts)
-}
-
 // SynthesizeOn runs CEGIS to fit prog onto any backend at the given
 // program size (pipeline stages for PISA, instruction slots for BPF).
 // This is the algorithm of the paper's Figure 3, target-independent: the
 // backend supplies the sketch (Equation 2's P) and the synthesized
 // config supplies its own symbolic re-encoding for verification
 // (Equation 3); everything else — the two-tier widths, the incremental
-// synthesis solver, the counterexample feedback — is shared.
+// synthesis solver, the counterexample feedback — is shared. The
+// returned configuration records the verification width as its run
+// width, since that is the widest width at which it is proven correct.
 func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options) (*Result, error) {
 	start := time.Now()
 	res := &Result{Target: be.Target()}
@@ -285,7 +281,6 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 	case v == feasible:
 		res.Feasible = true
 		res.TargetConfig = cfg
-		res.Config, _ = cfg.(*pisa.Config)
 	}
 	return res, nil
 }
@@ -367,7 +362,7 @@ func newLoop(ctx context.Context, prog *ast.Program, be backend.Backend, size in
 		l.release()
 		return nil, err
 	}
-	_, res.HoleBits = l.sk.HoleCount()
+	res.HoleBits = holeBits(l.sk)
 
 	// Attach the cancellation hook before any clause is loaded: AddClause
 	// runs top-level unit propagation, so loading must respect the context
@@ -386,7 +381,7 @@ func newLoop(ctx context.Context, prog *ast.Program, be backend.Backend, size in
 	// Figure 3: initialize X to random inputs (plus all-zeros, which pins
 	// down constant-output components cheaply). The synthesis width is
 	// clamped to the sketch's minimum sound width: control holes must not
-	// truncate (see sketch.MinWidth).
+	// truncate (see backend.Sketch.MinWidth).
 	sw := max(opts.synthWidth(), l.sk.MinWidth())
 	vw := max(opts.verifyWidth(), sw)
 	l.tiers = []word.Width{sw, vw}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/pisa"
 	"repro/internal/sat"
-	"repro/internal/sketch"
 	"repro/internal/word"
 )
 
@@ -32,10 +31,18 @@ func grid(stages, width int, kind alu.Kind, constBits int) pisa.GridSpec {
 	}
 }
 
+// synthesizeGrid runs CEGIS on the PISA grid g at its own stage count.
+func synthesizeGrid(ctx context.Context, prog *ast.Program, g pisa.GridSpec, opts Options) (*Result, error) {
+	return SynthesizeOn(ctx, prog, pisa.Backend{Grid: g}, g.Stages, opts)
+}
+
+// gridConfig is a feasible result's PISA configuration.
+func gridConfig(res *Result) *pisa.Config { return res.TargetConfig.(*pisa.Config) }
+
 func synth(t *testing.T, src string, g pisa.GridSpec, opts Options) *Result {
 	t.Helper()
 	prog := parser.MustParse("test", src)
-	res, err := Synthesize(context.Background(), prog, g, opts)
+	res, err := synthesizeGrid(context.Background(), prog, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +55,7 @@ func tracedSynth(t *testing.T, src string, g pisa.GridSpec, opts Options) (*Resu
 	t.Helper()
 	tr := obs.NewTracer()
 	prog := parser.MustParse("test", src)
-	res, err := Synthesize(obs.ContextWithTracer(context.Background(), tr), prog, g, opts)
+	res, err := synthesizeGrid(obs.ContextWithTracer(context.Background(), tr), prog, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +106,7 @@ func TestStatelessIncrement(t *testing.T) {
 	if !res.Feasible {
 		t.Fatal("increment should fit a 1x1 grid")
 	}
-	outPkt, _ := res.Config.Exec(map[string]uint64{"a": 41}, nil)
+	outPkt, _ := res.TargetConfig.Exec(map[string]uint64{"a": 41}, nil)
 	if outPkt["a"] != 42 {
 		t.Fatalf("a = %d, want 42", outPkt["a"])
 	}
@@ -117,7 +124,7 @@ func TestTwoFieldSwapNeedsWidth2(t *testing.T) {
 	if !res.Feasible {
 		t.Fatal("swap should fit a 1x3 grid")
 	}
-	outPkt, _ := res.Config.Exec(map[string]uint64{"a": 5, "b": 9, "tmp": 0}, nil)
+	outPkt, _ := res.TargetConfig.Exec(map[string]uint64{"a": 5, "b": 9, "tmp": 0}, nil)
 	if outPkt["a"] != 9 || outPkt["b"] != 5 || outPkt["tmp"] != 5 {
 		t.Fatalf("swap result %v", outPkt)
 	}
@@ -144,7 +151,7 @@ func TestStatefulCounter(t *testing.T) {
 	state := map[string]uint64{"total": 0}
 	var pkt map[string]uint64
 	for i := 0; i < 5; i++ {
-		pkt, state = res.Config.Exec(map[string]uint64{"v": 7}, state)
+		pkt, state = res.TargetConfig.Exec(map[string]uint64{"v": 7}, state)
 		if pkt["v"] != 7 {
 			t.Fatalf("packet field clobbered: %v", pkt)
 		}
@@ -168,7 +175,7 @@ func TestStatefulAccumulatorNeedsPredRaw(t *testing.T) {
 	}
 	state := map[string]uint64{"total": 0}
 	for i := uint64(1); i <= 5; i++ {
-		_, state = res.Config.Exec(map[string]uint64{"v": i}, state)
+		_, state = res.TargetConfig.Exec(map[string]uint64{"v": i}, state)
 	}
 	if state["total"] != 15 {
 		t.Fatalf("total = %d, want 15", state["total"])
@@ -189,7 +196,7 @@ else { count = count + 1; pkt.sample = 0; }
 	samples := 0
 	for i := 0; i < 33; i++ {
 		var pkt map[string]uint64
-		pkt, state = res.Config.Exec(map[string]uint64{"sample": 0}, state)
+		pkt, state = res.TargetConfig.Exec(map[string]uint64{"sample": 0}, state)
 		if pkt["sample"] == 1 {
 			samples++
 		}
@@ -212,11 +219,11 @@ func TestCounterexampleLoopConverges(t *testing.T) {
 	if !res.Feasible {
 		t.Fatal("equality test should be feasible")
 	}
-	outPkt, _ := res.Config.Exec(map[string]uint64{"a": 20, "hit": 9}, nil)
+	outPkt, _ := res.TargetConfig.Exec(map[string]uint64{"a": 20, "hit": 9}, nil)
 	if outPkt["hit"] != 1 {
 		t.Fatalf("hit = %d, want 1", outPkt["hit"])
 	}
-	outPkt, _ = res.Config.Exec(map[string]uint64{"a": 4, "hit": 9}, nil)
+	outPkt, _ = res.TargetConfig.Exec(map[string]uint64{"a": 4, "hit": 9}, nil)
 	if outPkt["hit"] != 0 {
 		t.Fatalf("hit(4) = %d, want 0 — synthesized constant wrapped", outPkt["hit"])
 	}
@@ -246,7 +253,7 @@ func TestNarrowSynthWidthIsClamped(t *testing.T) {
 	if !res.Feasible {
 		t.Fatal("clamped narrow synthesis should still succeed")
 	}
-	outPkt, _ := res.Config.Exec(map[string]uint64{"a": 10, "hit": 0}, nil)
+	outPkt, _ := res.TargetConfig.Exec(map[string]uint64{"a": 10, "hit": 0}, nil)
 	if outPkt["hit"] != 1 {
 		t.Fatalf("hit = %d, want 1", outPkt["hit"])
 	}
@@ -257,7 +264,7 @@ func TestTimeoutReported(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	prog := parser.MustParse("t", "pkt.a = pkt.a + 1;")
-	res, err := Synthesize(ctx, prog, grid(1, 1, alu.Counter, 4), Options{Seed: 1})
+	res, err := synthesizeGrid(ctx, prog, grid(1, 1, alu.Counter, 4), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,17 +277,22 @@ func TestIndicatorAllocationMode(t *testing.T) {
 	// The indicator-variable allocation (Figure 4, left) must synthesize
 	// the same programs as canonical allocation.
 	src := "pkt.b = pkt.a + pkt.b;"
-	res := synth(t, src, grid(1, 2, alu.Counter, 4), Options{Seed: 2, IndicatorAlloc: true})
+	g := grid(1, 2, alu.Counter, 4)
+	prog := parser.MustParse("test", src)
+	res, err := SynthesizeOn(context.Background(), prog, pisa.Backend{Grid: g, IndicatorAlloc: true}, g.Stages, Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Feasible {
 		t.Fatal("indicator allocation should also fit")
 	}
-	if res.Config.Values.FieldAlloc == nil {
+	if gridConfig(res).Values.FieldAlloc == nil {
 		t.Fatal("indicator mode must populate the allocation matrix")
 	}
-	if err := res.Config.Validate(); err != nil {
+	if err := res.TargetConfig.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	outPkt, _ := res.Config.Exec(map[string]uint64{"a": 3, "b": 4}, nil)
+	outPkt, _ := res.TargetConfig.Exec(map[string]uint64{"a": 3, "b": 4}, nil)
 	if outPkt["b"] != 7 || outPkt["a"] != 3 {
 		t.Fatalf("got %v", outPkt)
 	}
@@ -290,11 +302,11 @@ func TestIndicatorVsCanonicalSearchSpace(t *testing.T) {
 	// Figure 4's point: canonicalization removes indicator holes.
 	prog := parser.MustParse("t", "pkt.b = pkt.a + pkt.b;")
 	g := grid(1, 2, alu.Counter, 4)
-	canon, err := Synthesize(context.Background(), prog, g, Options{Seed: 2})
+	canon, err := synthesizeGrid(context.Background(), prog, g, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	indic, err := Synthesize(context.Background(), prog, g, Options{Seed: 2, IndicatorAlloc: true})
+	indic, err := SynthesizeOn(context.Background(), prog, pisa.Backend{Grid: g, IndicatorAlloc: true}, g.Stages, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +323,7 @@ func TestConfigWidthIndependence(t *testing.T) {
 		t.Fatal("feasible expected")
 	}
 	for _, w := range []word.Width{4, 6, 8, 10} {
-		cfg := *res.Config
+		cfg := *gridConfig(res)
 		cfg.Grid.WordWidth = w
 		in := interp.MustNew(w)
 		prog := parser.MustParse("t", "pkt.a = pkt.a + 3;")
@@ -495,7 +507,7 @@ last_time = pkt.arrival;
 	defer cancel()
 	prog := parser.MustParse("flowlet", src)
 	start := time.Now()
-	res, err := Synthesize(ctx, prog, grid(2, 3, alu.Pair, 4), Options{Seed: 1})
+	res, err := synthesizeGrid(ctx, prog, grid(2, 3, alu.Pair, 4), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +538,7 @@ else { pkt.new_flow = 0; }
 	}
 	prog := parser.MustParse("t", src)
 	const w = word.Width(6)
-	cfg := *res.Config
+	cfg := *gridConfig(res)
 	cfg.Grid.WordWidth = w
 	in := interp.MustNew(w)
 	for f := uint64(0); f < w.Size(); f++ {
@@ -552,7 +564,7 @@ func TestUnknownExpressionTypeErrors(t *testing.T) {
 	prog := &ast.Program{Name: "bad", Stmts: []ast.Stmt{
 		&ast.Assign{LHS: ast.LValue{Name: "a", IsField: true}, RHS: nil},
 	}, Init: map[string]int64{}}
-	_, err := Synthesize(context.Background(), prog, grid(1, 1, alu.Counter, 4), Options{Seed: 1})
+	_, err := synthesizeGrid(context.Background(), prog, grid(1, 1, alu.Counter, 4), Options{Seed: 1})
 	if err == nil {
 		t.Fatal("nil expression should surface an error")
 	}
@@ -575,7 +587,7 @@ int count = 0;
 if (count == 10) { count = 0; pkt.sample = 1; }
 else { count = count + 1; pkt.sample = 0; }
 `)
-	res, err := Synthesize(ctx, prog, grid(1, 2, alu.IfElseRaw, 4), Options{Seed: 7})
+	res, err := synthesizeGrid(ctx, prog, grid(1, 2, alu.IfElseRaw, 4), Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,15 +692,15 @@ else { count = count + 1; pkt.sample = 0; }
 
 // TestSketchMetrics: the cegis.sketch span's end folds into the hole
 // gauges on both targets, with a registry and no tracer. sketch.holes and
-// sketch.hole_bits equal the sketch's HoleCount, and the
-// sketch.hole_bits.<class> gauges partition the total.
+// sketch.hole_bits equal the sketch's hole inventory count and sum, and
+// the sketch.hole_bits.<class> gauges partition the total.
 func TestSketchMetrics(t *testing.T) {
 	for _, tc := range []struct {
 		be    backend.Backend
 		size  int
 		class string // one class the target must report
 	}{
-		{sketch.PISABackend{Grid: grid(1, 2, alu.IfElseRaw, 4)}, 1, "hole_bits.stateless_opcode"},
+		{pisa.Backend{Grid: grid(1, 2, alu.IfElseRaw, 4)}, 1, "hole_bits.stateless_opcode"},
 		{bpf.Backend{}, 2, "hole_bits.slot_op"},
 	} {
 		t.Run(tc.be.Target(), func(t *testing.T) {
@@ -703,12 +715,16 @@ func TestSketchMetrics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			holes, bits := sk.HoleCount()
-			if got := reg.Gauge("sketch.holes").Value(); got != int64(holes) {
-				t.Errorf("sketch.holes = %d, HoleCount says %d", got, holes)
+			names, widths := sk.HoleInventory()
+			bits := 0
+			for _, w := range widths {
+				bits += w
+			}
+			if got := reg.Gauge("sketch.holes").Value(); got != int64(len(names)) {
+				t.Errorf("sketch.holes = %d, inventory has %d", got, len(names))
 			}
 			if got := reg.Gauge("sketch.hole_bits").Value(); got != int64(bits) || bits != res.HoleBits {
-				t.Errorf("sketch.hole_bits = %d, HoleCount says %d, Result %d", got, bits, res.HoleBits)
+				t.Errorf("sketch.hole_bits = %d, inventory sums to %d, Result %d", got, bits, res.HoleBits)
 			}
 			var classTotal int64
 			for name, v := range reg.Snapshot() {
@@ -912,7 +928,7 @@ func TestNonzeroInitStateFeasible(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, state := res.Config.Exec(nil, map[string]uint64{"s": s0})
+			_, state := res.TargetConfig.Exec(nil, map[string]uint64{"s": s0})
 			if state["s"] != want.State["s"] {
 				t.Fatalf("%q: config(s=%d) = %d, interpreter says %d", src, s0, state["s"], want.State["s"])
 			}

@@ -6,14 +6,14 @@ import (
 
 	"repro/internal/alu"
 	"repro/internal/parser"
-	"repro/internal/sketch"
+	"repro/internal/pisa"
 )
 
 func explain(t *testing.T, src string, stages, width int, kind alu.Kind, opts Options) *ExplainResult {
 	t.Helper()
 	prog := parser.MustParse("test", src)
 	g := grid(stages, width, kind, 4)
-	be := sketch.PISABackend{Grid: g, Opts: sketch.Options{IndicatorAlloc: opts.IndicatorAlloc}}
+	be := pisa.Backend{Grid: g}
 	res, err := Explain(context.Background(), prog, be, g.Stages, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func TestReleasedWorkspaceSearchesLikeFresh(t *testing.T) {
 		syn.release()
 
 		made = 0
-		res, err := Synthesize(context.Background(), prog, g, Options{Seed: 7})
+		res, err := synthesizeGrid(context.Background(), prog, g, Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

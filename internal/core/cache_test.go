@@ -17,8 +17,8 @@ import (
 
 // TestWarmCacheSkipsSynthesis is the acceptance-criteria test: a
 // recompilation of a canonically identical program must return the cached
-// pisa.Config without invoking cegis.Synthesize, asserted through the obs
-// core.attempts counter (incremented once per Synthesize call).
+// pisa.Config without invoking cegis.SynthesizeOn, asserted through the obs
+// core.attempts counter (incremented once per synthesis attempt).
 func TestWarmCacheSkipsSynthesis(t *testing.T) {
 	b, err := programs.ByName("sampling")
 	if err != nil {
@@ -58,7 +58,7 @@ func TestWarmCacheSkipsSynthesis(t *testing.T) {
 		t.Fatalf("warm compile: cached=%v feasible=%v", warm.Cached, warm.Feasible)
 	}
 	if got := reg.Counter("core.attempts").Value(); got != attempts {
-		t.Errorf("warm compile invoked cegis.Synthesize: core.attempts %d -> %d", attempts, got)
+		t.Errorf("warm compile invoked cegis.SynthesizeOn: core.attempts %d -> %d", attempts, got)
 	}
 	if got := reg.Counter("solcache.hits").Value(); got != 1 {
 		t.Errorf("solcache.hits = %d, want 1", got)

@@ -6,7 +6,7 @@
 //     field k occupies container k and state group j occupies stateful ALU
 //     slot j, exploiting the symmetry of homogeneous grids;
 //  2. generating a sketch of the datapath whose Table 1 hardware
-//     configurations are synthesis holes (internal/sketch);
+//     configurations are synthesis holes (pisa.Backend);
 //  3. solving the sketch with CEGIS over the SAT backend (internal/cegis),
 //     with narrow-width synthesis and wide-width verification (§3.1,
 //     "Scaling Chipmunk to a large number of input bits"); and
@@ -34,7 +34,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perfhist"
 	"repro/internal/pisa"
-	"repro/internal/sketch"
 	"repro/internal/solcache"
 	"repro/internal/word"
 )
@@ -74,7 +73,7 @@ type Options struct {
 	// instead of canonical allocation (Figure 4 ablation).
 	IndicatorAlloc bool
 	// SymmetryBreak asks the backend to prune grid symmetries from the
-	// hole space (sketch.Options.SymmetryBreak). Backends without
+	// hole space (pisa.Backend.SymmetryBreak). Backends without
 	// interchangeable resources ignore it. Verdict-preserving; off by
 	// default so the standard path's clause stream is untouched.
 	SymmetryBreak bool
@@ -147,7 +146,7 @@ func bpfBackend(opts Options) bpf.Backend {
 func backendFor(opts Options, symmetry bool) (backend.Backend, error) {
 	switch opts.targetName() {
 	case "pisa":
-		return sketch.PISABackend{Grid: gridSpec(opts), Opts: sketch.Options{IndicatorAlloc: opts.IndicatorAlloc, SymmetryBreak: symmetry}}, nil
+		return pisa.Backend{Grid: gridSpec(opts), IndicatorAlloc: opts.IndicatorAlloc, SymmetryBreak: symmetry}, nil
 	case "bpf":
 		return bpfBackend(opts), nil
 	}
@@ -472,10 +471,9 @@ func search(ctx context.Context, prog *ast.Program, opts Options, rep *Report) e
 	for stages := lo; stages <= opts.maxStages(); stages++ {
 		slots, won, err := hedge(ctx, opts.SeedFanout, func(ctx context.Context, slot int) (DepthResult, *cegis.Result, error) {
 			copts := cegis.Options{
-				SynthWidth:     opts.SynthWidth,
-				VerifyWidth:    opts.VerifyWidth,
-				IndicatorAlloc: opts.IndicatorAlloc,
-				Seed:           opts.Seed + int64(slot)*seedStride,
+				SynthWidth:  opts.SynthWidth,
+				VerifyWidth: opts.VerifyWidth,
+				Seed:        opts.Seed + int64(slot)*seedStride,
 			}
 			if opts.SeedFanout > 1 {
 				copts.Member = fmt.Sprintf("d%d.s%d", stages, slot)
@@ -501,9 +499,9 @@ func search(ctx context.Context, prog *ast.Program, opts Options, rep *Report) e
 		}
 		rep.Feasible = true
 		rep.Artifact = res.TargetConfig
-		rep.Config = res.Config
-		if res.Config != nil {
-			rep.Usage = res.Config.Usage()
+		if cfg, ok := res.TargetConfig.(*pisa.Config); ok {
+			rep.Config = cfg
+			rep.Usage = cfg.Usage()
 		}
 		rep.Winner = slots[won].dr.Member
 		break

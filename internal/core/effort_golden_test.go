@@ -181,6 +181,10 @@ func TestSearchEffortGolden(t *testing.T) {
 			checkEffort(t, c, want)
 		})
 	}
+	// A compile with a seed fanout decides the golden's depth. sampling
+	// compiles well inside the hedge stagger, so slot 1 never starts: this
+	// checks the fanout path with slot 0 alone, not racing slots
+	// (TestHedgedSharesCacheFingerprint asserts that both run).
 	t.Run("sampling/hedged", func(t *testing.T) {
 		t.Parallel()
 		b, err := programs.ByName("sampling")

@@ -127,10 +127,9 @@ func maybeExplain(ctx context.Context, prog *ast.Program, opts Options, rep *Rep
 	}()
 
 	xres, err := cegis.Explain(ectx, prog, be, size, cegis.Options{
-		SynthWidth:     opts.SynthWidth,
-		VerifyWidth:    opts.VerifyWidth,
-		IndicatorAlloc: opts.IndicatorAlloc,
-		Seed:           opts.Seed,
+		SynthWidth:  opts.SynthWidth,
+		VerifyWidth: opts.VerifyWidth,
+		Seed:        opts.Seed,
 	})
 	if err != nil {
 		exp.Incomplete = "error: " + err.Error()

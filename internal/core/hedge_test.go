@@ -431,8 +431,10 @@ func TestHedgedFindsMinimumDepth(t *testing.T) {
 }
 
 // Seed fanout must not leak into the cache fingerprint: a hedged compile
-// and a sequential compile of the same program share one entry.
+// and a sequential compile of the same program share one entry. With no
+// stagger both slots run at the deciding depth.
 func TestHedgedSharesCacheFingerprint(t *testing.T) {
+	setStagger(t, 0)
 	prog := mustParse(t, "dep2", dep2Src)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -447,6 +449,15 @@ func TestHedgedSharesCacheFingerprint(t *testing.T) {
 	}
 	if first.Cached {
 		t.Fatal("first compile unexpectedly hit the cache")
+	}
+	slots := 0
+	for _, d := range first.Depths {
+		if d.Stages == first.Usage.Stages {
+			slots++
+		}
+	}
+	if slots != 2 {
+		t.Fatalf("%d slots ran at the deciding depth, want 2", slots)
 	}
 
 	seq := dep2Options()

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cegis"
 	"repro/internal/pisa"
-	"repro/internal/sketch"
 )
 
 // CheckExplainMinimal audits infeasibility forensics on a scenario the
@@ -26,7 +25,7 @@ import (
 // or deletion minimization), never bad luck. Timeouts and capacity
 // rejections return nil: there is no completed claim to audit.
 func CheckExplainMinimal(ctx context.Context, sc Scenario, stages int, seed int64) *Discrepancy {
-	be := sketch.PISABackend{Grid: pisa.GridSpec{
+	be := pisa.Backend{Grid: pisa.GridSpec{
 		Width:        sc.Width,
 		WordWidth:    cegis.DefaultVerifyWidth,
 		StatelessALU: sc.Stateless,

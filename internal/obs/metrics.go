@@ -367,24 +367,27 @@ func (r *Registry) Snapshot() map[string]any {
 }
 
 // String renders the registry one metric per line, sorted by name, for
-// the CLI -stats reports.
+// the CLI -stats reports. Names are padded to the longest one, so every
+// value starts in the same column.
 func (r *Registry) String() string {
 	if r == nil {
 		return ""
 	}
 	snap := r.Snapshot()
 	names := make([]string, 0, len(snap))
+	pad := 0
 	for name := range snap {
 		names = append(names, name)
+		pad = max(pad, len(name))
 	}
 	sort.Strings(names)
 	var sb strings.Builder
 	for _, name := range names {
 		switch v := snap[name].(type) {
 		case HistSnapshot:
-			fmt.Fprintf(&sb, "%-28s count=%d mean=%.1f min=%d max=%d\n", name, v.Count, v.Mean, v.Min, v.Max)
+			fmt.Fprintf(&sb, "%-*s count=%d mean=%.1f min=%d max=%d\n", pad, name, v.Count, v.Mean, v.Min, v.Max)
 		default:
-			fmt.Fprintf(&sb, "%-28s %v\n", name, v)
+			fmt.Fprintf(&sb, "%-*s %v\n", pad, name, v)
 		}
 	}
 	return sb.String()

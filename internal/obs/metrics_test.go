@@ -102,6 +102,31 @@ func TestRegistryString(t *testing.T) {
 	}
 }
 
+// TestRegistryStringAligned: every value column starts at the same
+// offset, also when a name is longer than the old fixed 28-column pad.
+func TestRegistryStringAligned(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("sat.conflicts").Add(12)
+	r.Gauge("sketch.hole_bits.stateful_cmp_const").Set(8)
+	r.Gauge("x").Set(123456)
+	r.Histogram("verify.cex_bits").Observe(3)
+	lines := strings.Split(strings.TrimSuffix(r.String(), "\n"), "\n")
+	col := -1
+	for _, line := range lines {
+		name, _, _ := strings.Cut(line, " ")
+		at := len(name) + len(line[len(name):]) - len(strings.TrimLeft(line[len(name):], " "))
+		if col == -1 {
+			col = at
+		}
+		if at != col {
+			t.Fatalf("value of %q starts at column %d, want %d:\n%s", name, at, col, r)
+		}
+	}
+	if want := len("sketch.hole_bits.stateful_cmp_const") + 1; col != want {
+		t.Fatalf("values start at column %d, want %d:\n%s", col, want, r)
+	}
+}
+
 // A span on a context with a registry and no tracer exists and folds its
 // end into the registry: counters add, max-gauges keep the peak,
 // last-value gauges the latest end, the histogram observes only a present

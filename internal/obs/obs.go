@@ -32,6 +32,7 @@ package obs
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -129,9 +130,7 @@ type Span struct {
 	name string
 	id   int64
 
-	mu       sync.Mutex
-	ended    bool
-	endAttrs []Attr
+	ended atomic.Bool
 }
 
 func (t *Tracer) emit(rec Record) {
@@ -170,32 +169,14 @@ func (t *Tracer) StartRoot(name string, attrs ...Attr) *Span {
 	return &Span{t: t, name: name, id: t.point(RecordStart, 0, name, attrs)}
 }
 
-// SetAttr attaches attributes to the span; they are emitted with the end
-// record. Later values for the same key win.
-func (s *Span) SetAttr(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.endAttrs = append(s.endAttrs, attrs...)
-	s.mu.Unlock()
-}
-
-// End stops the span with any attributes set via SetAttr plus the ones
-// given here: it folds them into the span's registry, then emits the end
-// record on its tracer. Ending twice is a no-op.
+// End stops the span with the given attributes: it folds them into the
+// span's registry, then emits the end record on its tracer. Ending twice
+// is a no-op.
 func (s *Span) End(attrs ...Attr) {
-	if s == nil {
+	if s == nil || s.ended.Swap(true) {
 		return
 	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
-	all := attrMap(append(s.endAttrs, attrs...))
-	s.mu.Unlock()
+	all := attrMap(attrs)
 	if s.reg != nil {
 		s.reg.fold(s.name, all)
 	}

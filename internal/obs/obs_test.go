@@ -83,8 +83,7 @@ func TestStartSpanWithoutTracerIsNoop(t *testing.T) {
 		t.Fatal("context should pass through unchanged")
 	}
 	// All nil receivers must be safe.
-	span.SetAttr(Int("x", 1))
-	span.End()
+	span.End(Int("x", 1))
 	var tr *Tracer
 	var buf bytes.Buffer
 	Note(ctx, "sat.progress")
@@ -100,18 +99,6 @@ func TestSpanEndTwice(t *testing.T) {
 	s.End()
 	if n := len(tr.Records()); n != 2 {
 		t.Fatalf("double End emitted %d records, want 2", n)
-	}
-}
-
-func TestSetAttrAccumulates(t *testing.T) {
-	tr := NewTracer()
-	s := tr.StartRoot("x")
-	s.SetAttr(Int("iters", 3))
-	s.End(Bool("feasible", true))
-	recs := tr.Records()
-	end := recs[1]
-	if end.Attrs["iters"] != int64(3) || end.Attrs["feasible"] != true {
-		t.Fatalf("end attrs = %+v", end.Attrs)
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package pisa simulates the simplified Protocol Independent Switch
-// Architecture of the paper's §2.2 and Figure 2: a 2D grid of ALUs in which
-// the x axis is pipeline stages and the y axis is parallel ALUs within a
-// stage. Packets enter from the left and leave from the right at one packet
-// per clock; packet fields travel in PHV containers, state variables live
-// inside stateful ALUs.
+// Package pisa is the PISA compile target: the simplified Protocol
+// Independent Switch Architecture of the paper's §2.2 and Figure 2, a 2D
+// grid of ALUs in which the x axis is pipeline stages and the y axis is
+// parallel ALUs within a stage. Packets enter from the left and leave from
+// the right at one packet per clock; packet fields travel in PHV
+// containers, state variables live inside stateful ALUs.
 //
 // The datapath is written once, generically over arith.Arith, and used two
 // ways:
@@ -11,13 +11,20 @@
 //   - concretely (V = uint64) as the test reference for Config.ExecInto,
 //     the simulator that runs a synthesized configuration over packets,
 //     and
-//   - symbolically (V = circuit.Word) by internal/sketch, which feeds the
-//     same datapath hole variables instead of concrete controls, producing
-//     the sketch circuit that CEGIS solves.
+//   - symbolically (V = circuit.Word) by Sketch, which feeds the same
+//     datapath hole variables instead of concrete controls, producing the
+//     SKETCH-style partial program that CEGIS solves.
 //
 // Because both instantiations share one definition, code generated by the
 // synthesizer is guaranteed to mean the same thing when simulated — the
 // property the paper gets by construction from SKETCH's single semantics.
+//
+// Backend adapts the grid onto the backend seam, as bpf.Backend does for
+// the register machine. It implements both packet-field allocation modes
+// of §3.1: canonical allocation (field k lives in container k; Figure 4
+// shows this loses no expressiveness on homogeneous grids) and
+// indicator-variable allocation (a free 0/1 matrix with permutation
+// assertions), kept for the ablation benchmarks.
 package pisa
 
 import (

@@ -1,23 +1,4 @@
-// Package sketch turns a PISA grid specification into a SKETCH-style
-// partial program: a symbolic datapath whose hardware configurations
-// (Table 1 of the paper — ALU opcodes, input/output mux controls, packet
-// field and state variable allocations, immediate operands) are free
-// bit-vector holes for the CEGIS engine to solve.
-//
-// A Sketch owns one circuit.Builder and one input word per hole. The
-// datapath can be instantiated any number of times at any datapath width
-// against the same hole words: the synthesis phase instantiates it once per
-// concrete test input (constant folding shrinks those copies), and because
-// hole words are width-independent, counterexamples found at the wide
-// verification width can be constrained in the same solver as the narrow
-// synthesis inputs — the paper's "outer-loop CEGIS" (§3.1, Scaling).
-//
-// The package implements both packet-field allocation modes of §3.1:
-// canonical allocation (field k lives in container k; Figure 4 shows this
-// loses no expressiveness on homogeneous grids) and indicator-variable
-// allocation (a free 0/1 matrix with permutation assertions), kept for the
-// ablation benchmarks.
-package sketch
+package pisa
 
 import (
 	"fmt"
@@ -25,13 +6,17 @@ import (
 
 	"repro/internal/alu"
 	"repro/internal/arith"
+	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/pisa"
 	"repro/internal/word"
 )
 
-// Options selects sketch-construction variants.
-type Options struct {
+// Backend implements backend.Backend for the PISA grid, making the paper's
+// original target one implementation among several. Grid.Stages is
+// ignored: the size axis of backend.Backend (what the core's deepening
+// loop minimizes) supplies it per sketch.
+type Backend struct {
+	Grid GridSpec
 	// IndicatorAlloc uses the indicator-variable field allocation instead
 	// of the canonical one (Figure 4 ablation).
 	IndicatorAlloc bool
@@ -43,10 +28,75 @@ type Options struct {
 	SymmetryBreak bool
 }
 
-// Sketch is a symbolic PISA datapath with free holes.
+// Target implements backend.Backend.
+func (Backend) Target() string { return "pisa" }
+
+// SymmetryBreaking implements backend.SymmetryBreaker: the PISA grid has
+// interchangeable resources (dead ALUs, unused stateful columns) worth
+// pruning.
+func (p Backend) SymmetryBreaking() bool { return p.SymmetryBreak }
+
+// gridAt resolves the grid for a concrete stage count.
+func (p Backend) gridAt(size int) GridSpec {
+	g := p.Grid
+	g.Stages = size
+	return g
+}
+
+// Check implements backend.Backend: grid validity is an error, capacity
+// overflow (more fields than PHV containers, more states than stateful
+// slots) a definitive infeasible. The grid's word width is substituted
+// with a placeholder for validation — datapath widths are per-phase
+// choices owned by the CEGIS loop, not the machine description.
+func (p Backend) Check(size, numFields, numStates int) (bool, error) {
+	g := p.gridAt(size)
+	g.WordWidth = 1
+	if err := g.Validate(); err != nil {
+		return false, err
+	}
+	return numFields <= g.Width && numStates <= g.StateSlots(), nil
+}
+
+// NewSketch implements backend.Backend: it allocates one input word per
+// hole of the grid at the given stage count.
+func (p Backend) NewSketch(b *circuit.Builder, size, numFields, numStates int) (backend.Sketch, error) {
+	fits, err := p.Check(size, numFields, numStates)
+	if err != nil {
+		return nil, err
+	}
+	g := p.gridAt(size)
+	if !fits {
+		return nil, fmt.Errorf("pisa: %d packet fields, %d state variables exceed %d PHV containers, %d stateful slots",
+			numFields, numStates, g.Width, g.StateSlots())
+	}
+	s := &Sketch{Grid: g, B: b, NumFields: numFields, NumStates: numStates, symmetry: p.SymmetryBreak}
+	s.holes = NewHoles[circuit.Word](g, p.IndicatorAlloc, numFields,
+		func(name string, bits int, _ bool) circuit.Word {
+			s.holeNames = append(s.holeNames, name)
+			s.holeBits = append(s.holeBits, bits)
+			return b.InputWord(name, word.Width(bits))
+		})
+	return s, nil
+}
+
+// Sketch is a symbolic PISA datapath with free holes: the hardware
+// configurations of the paper's Table 1 (ALU opcodes, input/output mux
+// controls, packet field and state variable allocations, immediate
+// operands) as bit-vector words for the CEGIS engine to solve. It
+// implements backend.Sketch.
+//
+// A Sketch owns one circuit.Builder and one input word per hole. The
+// datapath can be instantiated any number of times at any datapath width
+// against the same hole words: the synthesis phase instantiates it once
+// per concrete test input (constant folding shrinks those copies), and
+// because hole words are width-independent, counterexamples found at the
+// wide verification width can be constrained in the same solver as the
+// narrow synthesis inputs — the paper's "outer-loop CEGIS" (§3.1,
+// Scaling).
 type Sketch struct {
-	Grid pisa.GridSpec
-	Opts Options
+	// Grid is the machine at the sketch's stage count. Its WordWidth is
+	// ignored; widths are chosen per instantiation.
+	Grid GridSpec
 
 	// B is the circuit builder holding holes and all instantiations.
 	B *circuit.Builder
@@ -56,64 +106,21 @@ type Sketch struct {
 	NumFields int
 	NumStates int
 
-	holes     *pisa.Holes[circuit.Word] // words at natural hole width
-	views     map[word.Width]*pisa.Holes[circuit.Word]
-	holeBits  map[string]int
-	holeNames []string // deterministic order
+	symmetry  bool
+	holes     *Holes[circuit.Word] // words at natural hole width
+	views     map[word.Width]*Holes[circuit.Word]
+	holeNames []string // creation order
+	holeBits  []int
 }
 
-// New builds a sketch for the grid and program shape. The grid's WordWidth
-// field is ignored here; widths are chosen per instantiation.
-func New(b *circuit.Builder, grid pisa.GridSpec, numFields, numStates int, opts Options) (*Sketch, error) {
-	if err := grid.Validate(); err != nil {
-		return nil, err
-	}
-	if numFields > grid.Width {
-		return nil, fmt.Errorf("sketch: %d packet fields exceed %d PHV containers (paper §3.1: one field per container)", numFields, grid.Width)
-	}
-	if numStates > grid.StateSlots() {
-		return nil, fmt.Errorf("sketch: %d state variables exceed %d stateful slots", numStates, grid.StateSlots())
-	}
-	s := &Sketch{
-		Grid:      grid,
-		Opts:      opts,
-		B:         b,
-		NumFields: numFields,
-		NumStates: numStates,
-		holeBits:  map[string]int{},
-	}
-	s.holes = pisa.NewHoles[circuit.Word](grid, opts.IndicatorAlloc, numFields,
-		func(name string, bits int, _ bool) circuit.Word {
-			s.holeBits[name] = bits
-			s.holeNames = append(s.holeNames, name)
-			return b.InputWord(name, word.Width(bits))
-		})
-	return s, nil
-}
-
-// HoleCount returns the number of holes and their total bit count — the m
-// of Equation 1, reported by the evaluation harness as search-space size.
-func (s *Sketch) HoleCount() (holes, bits int) {
-	for _, b := range s.holeBits {
-		bits += b
-	}
-	return len(s.holeBits), bits
-}
-
-// HoleInventory returns each hole's name and bit width in deterministic
-// (creation) order — the full search-space breakdown behind HoleCount.
+// HoleInventory implements backend.Sketch: each hole's name and bit
+// width in creation order. The slices are the sketch's own.
 func (s *Sketch) HoleInventory() (names []string, bits []int) {
-	names = append([]string{}, s.holeNames...)
-	bits = make([]int, len(names))
-	for i, n := range names {
-		bits[i] = s.holeBits[n]
-	}
-	return names, bits
+	return s.holeNames, s.holeBits
 }
 
-// MinWidth is the narrowest datapath width at which the sketch may be
-// instantiated soundly: the width of the widest *control* hole
-// (pisa.GridSpec.MinWidth). At narrower widths control encodings would
+// MinWidth implements backend.Sketch: the width of the widest control
+// hole (GridSpec.MinWidth). At narrower widths control encodings would
 // truncate and alias (opcode 14 read as opcode 6), making the synthesis
 // constraints inconsistent with wide-width verification. Data holes
 // (immediates) may truncate freely — truncation commutes with the
@@ -124,30 +131,30 @@ func (s *Sketch) MinWidth() word.Width { return s.Grid.MinWidth() }
 // A CEGIS run instantiates at no more than two widths, so each view is
 // built once and cached; Widen creates no gates, so caching leaves the
 // circuit's numbering unchanged.
-func (s *Sketch) holesAt(w word.Width) *pisa.Holes[circuit.Word] {
+func (s *Sketch) holesAt(w word.Width) *Holes[circuit.Word] {
 	if h, ok := s.views[w]; ok {
 		return h
 	}
-	h := pisa.MapHoles(s.holes, func(hw circuit.Word) circuit.Word { return circuit.Widen(w, hw) })
+	h := MapHoles(s.holes, func(hw circuit.Word) circuit.Word { return circuit.Widen(w, hw) })
 	if s.views == nil {
-		s.views = map[word.Width]*pisa.Holes[circuit.Word]{}
+		s.views = map[word.Width]*Holes[circuit.Word]{}
 	}
 	s.views[w] = h
 	return h
 }
 
-// Instantiate runs the symbolic datapath at width w over the given field
-// and state words (each of width w), returning the output words. fields
+// Instantiate implements backend.Sketch: run the symbolic datapath at
+// width w over the given field and state words (each of width w). fields
 // and states must have length NumFields and NumStates.
 func (s *Sketch) Instantiate(w word.Width, fields, states []circuit.Word) (outFields, outStates []circuit.Word) {
 	if len(fields) != s.NumFields || len(states) != s.NumStates {
-		panic(fmt.Sprintf("sketch: instantiate with %d fields, %d states; want %d, %d",
+		panic(fmt.Sprintf("pisa: instantiate with %d fields, %d states; want %d, %d",
 			len(fields), len(states), s.NumFields, s.NumStates))
 	}
 	g := s.Grid
 	g.WordWidth = w
 	a := arith.Circ{B: s.B, W: w}
-	return pisa.Datapath[circuit.Word](a, g, s.holesAt(w), fields, states)
+	return Datapath[circuit.Word](a, g, s.holesAt(w), fields, states)
 }
 
 // AssertDomains adds the hole-domain assertions to the CNF: opcode-mask
@@ -212,7 +219,7 @@ func (s *Sketch) AssertDomains(cnf *circuit.CNF) {
 	cnf.SetGroup(circuit.GroupStateAlloc)
 	ns := g.StatefulALU.NumStates()
 	usedSlots := (s.NumStates + ns - 1) / ns
-	cw := word.Width(pisa.MuxBits(g.Stages) + 1)
+	cw := word.Width(MuxBits(g.Stages) + 1)
 	for j := 0; j < g.Width; j++ {
 		if j >= usedSlots {
 			for i := 0; i < g.Stages; i++ {
@@ -231,7 +238,7 @@ func (s *Sketch) AssertDomains(cnf *circuit.CNF) {
 	// container holding at most one field.
 	cnf.SetGroup(circuit.GroupFieldAlloc)
 	if s.holes.FieldAlloc != nil {
-		cw := word.Width(pisa.MuxBits(g.Width) + 1)
+		cw := word.Width(MuxBits(g.Width) + 1)
 		for f := range s.holes.FieldAlloc {
 			sum := b.ConstWord(0, cw)
 			for c := range s.holes.FieldAlloc[f] {
@@ -248,7 +255,7 @@ func (s *Sketch) AssertDomains(cnf *circuit.CNF) {
 		}
 	}
 
-	if s.Opts.SymmetryBreak {
+	if s.symmetry {
 		cnf.SetGroup(circuit.GroupSymmetry)
 		s.assertSymmetry(cnf)
 	}
@@ -355,13 +362,13 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// ExtractConfig reads every hole's value from the solver model (via the
-// CNF) and assembles a concrete configuration. fields and states are the
-// canonical variable-name orders; runWidth is the datapath width recorded
-// for subsequent simulation.
-func (s *Sketch) ExtractConfig(cnf *circuit.CNF, fields, states []string, runWidth word.Width) *pisa.Config {
-	vals := pisa.MapHoles(s.holes, func(hw circuit.Word) uint64 { return cnf.WordValue(hw) })
+// Extract implements backend.Sketch: read every hole's value from the
+// solver model (via the CNF) and assemble a concrete *Config. fields and
+// states are the canonical variable-name orders; runWidth is the datapath
+// width recorded for subsequent simulation.
+func (s *Sketch) Extract(cnf *circuit.CNF, fields, states []string, runWidth word.Width) backend.Config {
+	vals := MapHoles(s.holes, func(hw circuit.Word) uint64 { return cnf.WordValue(hw) })
 	grid := s.Grid
 	grid.WordWidth = runWidth
-	return &pisa.Config{Grid: grid, Fields: fields, States: states, Values: vals}
+	return &Config{Grid: grid, Fields: fields, States: states, Values: vals}
 }

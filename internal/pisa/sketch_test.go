@@ -1,84 +1,77 @@
-package sketch
+package pisa
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/alu"
 	"repro/internal/circuit"
-	"repro/internal/pisa"
 	"repro/internal/sat"
 	"repro/internal/word"
 )
 
-func grid(stages, width int, kind alu.Kind) pisa.GridSpec {
-	return pisa.GridSpec{
-		Stages:       stages,
-		Width:        width,
-		WordWidth:    10,
-		StatelessALU: alu.Stateless{},
-		StatefulALU:  alu.Stateful{Kind: kind},
+// newSketch builds a sketch of the grid at its own stage count.
+func newSketch(t *testing.T, b *circuit.Builder, g GridSpec, numFields, numStates int, indicator bool) *Sketch {
+	t.Helper()
+	sk, err := Backend{Grid: g, IndicatorAlloc: indicator}.NewSketch(b, g.Stages, numFields, numStates)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return sk.(*Sketch)
 }
 
-func TestNewRejectsOverCapacity(t *testing.T) {
+// holeTotals counts a sketch's holes and sums their bits.
+func holeTotals(s *Sketch) (holes, bits int) {
+	names, widths := s.HoleInventory()
+	for _, w := range widths {
+		bits += w
+	}
+	return len(names), bits
+}
+
+func TestNewSketchRejectsOverCapacity(t *testing.T) {
 	b := circuit.New()
-	if _, err := New(b, grid(1, 2, alu.Counter), 3, 0, Options{}); err == nil {
+	newSk := func(g GridSpec, nf, ns int) error {
+		_, err := Backend{Grid: g}.NewSketch(b, g.Stages, nf, ns)
+		return err
+	}
+	if err := newSk(testGrid(1, 2, alu.Counter), 3, 0); err == nil {
 		t.Fatal("3 fields into 2 containers should fail")
 	}
-	if _, err := New(b, grid(1, 2, alu.Counter), 1, 3, Options{}); err == nil {
+	if err := newSk(testGrid(1, 2, alu.Counter), 1, 3); err == nil {
 		t.Fatal("3 states into 2 slots should fail")
 	}
-	if _, err := New(b, grid(0, 2, alu.Counter), 1, 1, Options{}); err == nil {
+	if err := newSk(testGrid(0, 2, alu.Counter), 1, 1); err == nil {
 		t.Fatal("invalid grid should fail")
 	}
 	// Pair doubles state capacity.
-	if _, err := New(b, grid(1, 2, alu.Pair), 1, 4, Options{}); err != nil {
+	if err := newSk(testGrid(1, 2, alu.Pair), 1, 4); err != nil {
 		t.Fatalf("4 states fit 2 pair slots: %v", err)
 	}
 }
 
 func TestHoleCountScalesWithGrid(t *testing.T) {
-	b1 := circuit.New()
-	s1, err := New(b1, grid(1, 2, alu.Counter), 2, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2 := circuit.New()
-	s2, err := New(b2, grid(2, 2, alu.Counter), 2, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, bits1 := s1.HoleCount()
-	h2, bits2 := s2.HoleCount()
+	s1 := newSketch(t, circuit.New(), testGrid(1, 2, alu.Counter), 2, 1, false)
+	s2 := newSketch(t, circuit.New(), testGrid(2, 2, alu.Counter), 2, 1, false)
+	h1, bits1 := holeTotals(s1)
+	h2, bits2 := holeTotals(s2)
 	if h2 != 2*h1 || bits2 != 2*bits1 {
 		t.Fatalf("2 stages should double holes: %d/%d vs %d/%d", h1, bits1, h2, bits2)
 	}
 }
 
 func TestIndicatorModeAddsHoles(t *testing.T) {
-	bc := circuit.New()
-	canon, err := New(bc, grid(1, 2, alu.Counter), 2, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bi := circuit.New()
-	indic, err := New(bi, grid(1, 2, alu.Counter), 2, 0, Options{IndicatorAlloc: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc, _ := canon.HoleCount()
-	hi, _ := indic.HoleCount()
+	canon := newSketch(t, circuit.New(), testGrid(1, 2, alu.Counter), 2, 0, false)
+	indic := newSketch(t, circuit.New(), testGrid(1, 2, alu.Counter), 2, 0, true)
+	hc, _ := holeTotals(canon)
+	hi, _ := holeTotals(indic)
 	if hi != hc+4 { // 2 fields x 2 containers indicator bits
 		t.Fatalf("indicator mode holes = %d, want %d", hi, hc+4)
 	}
 }
 
 func TestMinWidth(t *testing.T) {
-	b := circuit.New()
-	s, err := New(b, grid(1, 2, alu.Counter), 1, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSketch(t, circuit.New(), testGrid(1, 2, alu.Counter), 1, 0, false)
 	// The stateless opcode (4 bits) is the widest control hole.
 	if s.MinWidth() != 4 {
 		t.Fatalf("MinWidth = %d, want 4", s.MinWidth())
@@ -90,18 +83,15 @@ func TestMinWidth(t *testing.T) {
 func TestDomainConstraintsEnforced(t *testing.T) {
 	for _, kind := range []alu.Kind{alu.Counter, alu.Pair} {
 		b := circuit.New()
-		g := grid(2, 2, kind)
-		s, err := New(b, g, 1, 1, Options{IndicatorAlloc: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := testGrid(2, 2, kind)
+		s := newSketch(t, b, g, 1, 1, true)
 		solver := sat.New()
 		cnf := circuit.NewCNF(b, solver)
 		s.AssertDomains(cnf)
 		if solver.Solve() != sat.Sat {
 			t.Fatalf("%s: domain constraints alone must be satisfiable", kind)
 		}
-		cfg := s.ExtractConfig(cnf, []string{"f"}, []string{"s"}, 10)
+		cfg := s.Extract(cnf, []string{"f"}, []string{"s"}, 10)
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%s: extracted config violates constraints: %v", kind, err)
 		}
@@ -112,12 +102,9 @@ func TestDomainConstraintsEnforced(t *testing.T) {
 // any model.
 func TestOpcodeMaskAssertion(t *testing.T) {
 	b := circuit.New()
-	g := grid(1, 1, alu.Counter)
+	g := testGrid(1, 1, alu.Counter)
 	g.StatelessALU.OpcodeMask = 1<<alu.SlOpAdd | 1<<alu.SlOpSub
-	s, err := New(b, g, 1, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSketch(t, b, g, 1, 0, false)
 	solver := sat.New()
 	cnf := circuit.NewCNF(b, solver)
 	s.AssertDomains(cnf)
@@ -127,7 +114,7 @@ func TestOpcodeMaskAssertion(t *testing.T) {
 		if solver.Solve() != sat.Sat {
 			break
 		}
-		cfg := s.ExtractConfig(cnf, []string{"f"}, nil, 10)
+		cfg := s.Extract(cnf, []string{"f"}, nil, 10).(*Config)
 		op := cfg.Values.Stateless[0][0]["opcode"]
 		seen[op] = true
 		if op != alu.SlOpAdd && op != alu.SlOpSub {
@@ -147,11 +134,8 @@ func TestOpcodeMaskAssertion(t *testing.T) {
 // at every width simultaneously.
 func TestInstantiateWidths(t *testing.T) {
 	b := circuit.New()
-	g := grid(1, 1, alu.Counter)
-	s, err := New(b, g, 1, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testGrid(1, 1, alu.Counter)
+	s := newSketch(t, b, g, 1, 0, false)
 	solver := sat.New()
 	cnf := circuit.NewCNF(b, solver)
 	s.AssertDomains(cnf)
@@ -166,7 +150,7 @@ func TestInstantiateWidths(t *testing.T) {
 	if solver.Solve() != sat.Sat {
 		t.Fatal("increment constraints at two widths should be satisfiable")
 	}
-	cfg := s.ExtractConfig(cnf, []string{"x"}, nil, 8)
+	cfg := s.Extract(cnf, []string{"x"}, nil, 8)
 	out, _ := cfg.Exec(map[string]uint64{"x": 100}, nil)
 	if out["x"] != 101 {
 		t.Fatalf("config does not increment: %d", out["x"])
@@ -175,10 +159,7 @@ func TestInstantiateWidths(t *testing.T) {
 
 func TestInstantiatePanicsOnArityMismatch(t *testing.T) {
 	b := circuit.New()
-	s, err := New(b, grid(1, 2, alu.Counter), 2, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSketch(t, b, testGrid(1, 2, alu.Counter), 2, 1, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on wrong field count")
@@ -187,25 +168,24 @@ func TestInstantiatePanicsOnArityMismatch(t *testing.T) {
 	s.Instantiate(4, []circuit.Word{b.ConstWord(0, 4)}, nil)
 }
 
+// TestHoleInventory checks the inventory against an independent walk of
+// NewHoles and that reading it allocates nothing.
 func TestHoleInventory(t *testing.T) {
-	b := circuit.New()
-	g := pisa.GridSpec{Stages: 2, Width: 2, WordWidth: 4,
+	g := GridSpec{Stages: 2, Width: 2, WordWidth: 4,
 		StatefulALU: alu.Stateful{Kind: alu.Counter}}
-	sk, err := New(b, g, 2, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk := newSketch(t, circuit.New(), g, 2, 1, false)
+	var wantNames []string
+	var wantBits []int
+	NewHoles(g, false, 2, func(name string, bits int, _ bool) int {
+		wantNames = append(wantNames, name)
+		wantBits = append(wantBits, bits)
+		return 0
+	})
 	names, bits := sk.HoleInventory()
-	if len(names) == 0 || len(names) != len(bits) {
-		t.Fatalf("inventory: %d names, %d bit entries", len(names), len(bits))
+	if !slices.Equal(names, wantNames) || !slices.Equal(bits, wantBits) {
+		t.Fatalf("inventory %v %v, NewHoles made %v %v", names, bits, wantNames, wantBits)
 	}
-	wantHoles, wantBits := sk.HoleCount()
-	total := 0
-	for _, n := range bits {
-		total += n
-	}
-	if len(names) != wantHoles || total != wantBits {
-		t.Fatalf("inventory sums (%d holes, %d bits) != HoleCount (%d, %d)",
-			len(names), total, wantHoles, wantBits)
+	if n := testing.AllocsPerRun(10, func() { sk.HoleInventory() }); n != 0 {
+		t.Fatalf("HoleInventory allocates %.0f times", n)
 	}
 }

@@ -725,9 +725,11 @@ func TestConfigValidateOversubscription(t *testing.T) {
 	}
 }
 
-// TestHedgedJobReportsWinner: a hedged job's result carries the winning
-// slot's label so clients can see which depth and seed produced the
-// solution.
+// TestHedgedJobReportsWinner: a job with a seed fanout carries the
+// winning slot's label to its result, so clients can see which depth and
+// seed produced the solution. The job compiles inside the hedge stagger,
+// so slot 0 wins and slot 1 never starts; the core tests cover slots that
+// race.
 func TestHedgedJobReportsWinner(t *testing.T) {
 	s := New(Config{Workers: 1, JobParallelism: 2, JobTimeout: 2 * time.Minute})
 	defer s.Shutdown(context.Background())

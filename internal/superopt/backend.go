@@ -93,18 +93,11 @@ func (bk Backend) NewSketch(b *circuit.Builder, size, numFields, numStates int) 
 	return s, nil
 }
 
-// HoleCount implements backend.Sketch.
-func (s *Sketch) HoleCount() (holes, bits int) {
-	for _, b := range s.bits {
-		bits += b
-	}
-	return len(s.names), bits
-}
-
 // HoleInventory implements backend.Sketch: names and widths in creation
-// (slot-major, then output selector) order.
+// (slot-major, then output selector) order. The slices are the sketch's
+// own.
 func (s *Sketch) HoleInventory() (names []string, bits []int) {
-	return append([]string(nil), s.names...), append([]int(nil), s.bits...)
+	return s.names, s.bits
 }
 
 // MinWidth implements backend.Sketch: the opcode and selector holes must
